@@ -132,6 +132,7 @@ def run(config):
             tol=config.tol if config.algorithm == "bisection" else 0.0,
             max_iter=config.max_iter, rng=rng,
         )
+        btrace.critical_value = problem.known_critical_value
         trace = btrace
         z = triple.midpoint
         gn = float(np.linalg.norm(f.gradient(z)))
@@ -153,10 +154,11 @@ def run(config):
             f, region, m, lower,
             max_iter=config.max_iter, tol=config.tol,
             naive_subspace=config.naive_subspace, S0=s_hint, rng=rng,
+            critical_value=problem.known_critical_value,
         )
         trace = result.trace
         gn = float(np.linalg.norm(f.gradient(result.point_estimate)))
-        rate = _classify(result.trace, true_value=problem.known_critical_value)
+        rate = result.rate
         lines.append(f"level estimate   {result.value_estimate:.17g}")
         lines.append(
             f"point estimate   {';'.join('%.17g' % c for c in result.point_estimate)}"
@@ -169,7 +171,6 @@ def run(config):
             exit_code = EXIT_NOT_CONVERGED
 
     if config.trace_out is not None and trace is not None:
-        trace.critical_value = problem.known_critical_value
         trace.write(config.trace_out, fmt=config.format)
         lines.append(f"trace written    {config.trace_out}")
     return exit_code, lines

@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    DomainViolation,
     InsufficientData,
     LowerBoundViolated,
     NonFiniteValue,
@@ -176,14 +177,17 @@ def fast_local_solve(
     forcing=0.3,
     rng=None,
     outer_kwargs=None,
+    critical_value=None,
 ):
     """Run the local level-raising iteration from the lower bound ``l0``.
 
     Returns a :class:`LocalResult`.  ``naive_subspace`` skips the eigenspace
     estimation and feeds the outer minimizer's subspace straight to the
     orthogonal-space minimization, which reproduces the documented failure
-    on problems like ``failure-3d``.  Raises :class:`Unbounded` or
-    :class:`LowerBoundViolated` when the iteration leaves its basin.
+    on problems like ``failure-3d``.  ``critical_value``, when known, is
+    stored on the trace and is the reference of the rate measurement.
+    Raises :class:`Unbounded` or :class:`LowerBoundViolated` when the
+    iteration leaves its basin.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -198,7 +202,7 @@ def fast_local_solve(
     s_hint = S0
     prev_est = None
     prev_pair = None
-    trace = SolverTrace()
+    trace = SolverTrace(critical_value=critical_value)
     states = []
     prev_gap = None
     converged = False
@@ -281,9 +285,7 @@ def fast_local_solve(
         prev_gap = gap
         l = l_next
     if converged and not naive_subspace:
-        z = _refine_point_estimate(
-            f, U, m, l, z, s_hint, prev_pair, rng, outer_kwargs
-        )
+        z = _refine_point_estimate(f, U, z)
     rate = None
     if len(trace) >= 4:
         rate = measure_convergence_rate(trace)
@@ -298,29 +300,23 @@ def fast_local_solve(
     )
 
 
-def _refine_point_estimate(f, U, m, l, z, s_hint, warm_pair, rng, outer_kwargs):
-    """One exact solve at the final level; keep the better midpoint.
+def _refine_point_estimate(f, U, z):
+    """One guarded Newton step on grad f = 0 from the final midpoint.
 
     The level iteration can converge in value while the midpoint still lags
-    (it is only re-examined when a new pair is solved), so finish with a
-    fully polished solve under the default move schedule and accept its
-    midpoint when the gradient norm says it is closer to stationarity.
+    (it is only re-examined when a new pair is solved).  Near a
+    nondegenerate saddle the Hessian (analytic, or the finite-difference
+    fallback) is invertible, so one Newton step on the gradient finishes the
+    point.  The step is kept only when its target lies in ``U`` and lowers
+    the gradient norm.  A singular or non-finite Hessian, or a target outside
+    the objective's domain, keeps ``z``.
     """
-    kwargs = dict(outer_kwargs)
-    kwargs.pop("rot_step0", None)
-    kwargs.pop("rot_step_min", None)
-    kwargs["probe_nonunique"] = False
     try:
-        final = outer_min_subspace(
-            f, l, U, m, S0=s_hint, rng=rng, warm_pair=warm_pair, **kwargs
-        )
-    except (ValueError, SliceEmpty):
-        return z
-    z_new = final.midpoint
-    try:
-        if np.linalg.norm(f.gradient(z_new)) < np.linalg.norm(f.gradient(z)):
+        g = f.gradient(z)
+        z_new = z - np.linalg.solve(f.hessian(z), g)
+        if U.contains(z_new) and np.linalg.norm(f.gradient(z_new)) < np.linalg.norm(g):
             return z_new
-    except NonFiniteValue:
+    except (np.linalg.LinAlgError, NonFiniteValue, DomainViolation):
         pass
     return z
 

@@ -11,7 +11,7 @@ The corpus contains the problems addressable by name from the command line:
 * ``failure-3d``                -- f(x) = x1^2 - x2^2 - 3 x3^2
 * ``four-lines``                -- the 3-d example whose widest level-set
                                    pairs do not have opposite gradients
-* ``cubic-saddle``              -- f(x) = x1^2 - x2^2 + 0.3 x1^3 x2
+* ``cubic-saddle``              -- f(x) = x1^2 - x2^2 + 0.3 x2^3
 """
 
 import math

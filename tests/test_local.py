@@ -3,10 +3,18 @@ import numpy.testing as npt
 import pytest
 
 from conftest import axis_subspace, ball
-from saddlekit.errors import InsufficientData, LowerBoundViolated, SliceEmpty, Unbounded
+from saddlekit.errors import (
+    DomainViolation,
+    InsufficientData,
+    LowerBoundViolated,
+    NonFiniteValue,
+    SliceEmpty,
+    Unbounded,
+)
 from saddlekit.geometry import AffineSubspace, OptimizingTriple, inner_max_diameter
 from saddlekit.linalg import Frame
 from saddlekit.local import (
+    _refine_point_estimate,
     classify_gaps,
     estimate_negative_eigenspace,
     fast_local_solve,
@@ -14,10 +22,12 @@ from saddlekit.local import (
     orthogonal_space_lower_bound,
 )
 from saddlekit.objectives import (
+    ObjectiveFunction,
     cubic_saddle_problem,
     failure_3d_problem,
     make_diagonal_quadratic,
     make_perturbed_quadratic,
+    make_quadratic,
 )
 from saddlekit.outer import outer_min_subspace
 from saddlekit.trace import SolverTrace, TraceRecord
@@ -160,6 +170,28 @@ class TestFastLocal:
         assert rate.classification == "Superlinear"
         assert np.linalg.norm(res.point_estimate) < 1e-4
 
+    def test_stored_critical_value_is_the_rate_reference(self):
+        prob = cubic_saddle_problem()
+        res = fast_local_solve(
+            prob.objective, ball(2, 1.5), 1, -0.5, max_iter=10, tol=1e-14,
+            critical_value=0.0,
+        )
+        assert res.trace.critical_value == 0.0
+        assert res.rate.reference == 0.0
+
+    def test_rotated_saddle_point_is_stationary(self):
+        # n = 16, m = 2: the final Newton step leaves no gradient behind
+        n = 16
+        rng = np.random.default_rng(16)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = np.ones(n)
+        lam[-2:] = -1.0
+        a = 2.0 * (q * lam) @ q.T
+        f = make_quadratic(0.5 * (a + a.T))
+        res = fast_local_solve(f, ball(n, 4.0), 2, -0.5, tol=1e-9)
+        assert res.converged
+        assert np.linalg.norm(f.gradient(res.point_estimate)) <= 1e-12
+
     def test_invalid_lower_bound_detected(self):
         # no saddle anywhere: the "lower bound" 0.5 exceeds the restricted
         # minimum and the iteration reports it instead of looping
@@ -191,6 +223,67 @@ class TestFastLocal:
         assert abs(res.value_estimate) < 1e-10
         rate = measure_convergence_rate(res.trace, true_value=0.0)
         assert rate.classification == "Superlinear"
+
+
+class TestRefinePointEstimate:
+    def test_newton_step_reaches_the_saddle(self):
+        f = make_diagonal_quadratic([1.0, -1.0, -3.0])
+        z = np.array([1e-3, -2e-3, 5e-4])
+        npt.assert_allclose(_refine_point_estimate(f, ball(3, 2.0), z), 0.0, atol=1e-15)
+
+    def test_target_outside_region_is_not_evaluated(self):
+        # the Newton target is the origin, outside the ball around (1, 0)
+        base = make_diagonal_quadratic([1.0, -1.0])
+        region = ball([1.0, 0.0], 0.5)
+
+        def grad(x):
+            assert region.contains(x), "gradient evaluated outside the region"
+            return base.gradient(x)
+
+        f = ObjectiveFunction(dim=2, f=base.f, grad=grad, hess=base.hess)
+        z = np.array([1.2, 0.1])
+        assert _refine_point_estimate(f, region, z) is z
+
+    def test_step_that_raises_gradient_norm_is_rejected(self):
+        # gradient atan(x): from x = 2 Newton overshoots to -3.54, where
+        # |atan| is larger
+        f = ObjectiveFunction(
+            dim=1,
+            f=lambda x: float(x[0] * np.arctan(x[0]) - 0.5 * np.log1p(x[0] ** 2)),
+            grad=lambda x: np.arctan(x),
+            hess=lambda x: np.array([[1.0 / (1.0 + x[0] ** 2)]]),
+        )
+        z = np.array([2.0])
+        assert _refine_point_estimate(f, ball(1, 5.0), z) is z
+
+    def test_target_outside_domain_keeps_point(self):
+        # gradient log(x) on x > 0: from x = 5 Newton lands at 5 (1 - log 5) < 0
+        def grad(x):
+            if x[0] <= 0.0:
+                raise DomainViolation(f"log needs x > 0, got {x[0]}")
+            return np.log(x)
+
+        f = ObjectiveFunction(
+            dim=1, f=lambda x: float(x[0] * np.log(x[0]) - x[0]), grad=grad,
+            hess=lambda x: np.array([[1.0 / x[0]]]),
+        )
+        z = np.array([5.0])
+        assert _refine_point_estimate(f, ball(1, 10.0), z) is z
+
+    def test_singular_hessian_keeps_point(self):
+        f = make_quadratic(np.diag([2.0, 0.0]))
+        z = np.array([0.1, 0.2])
+        assert _refine_point_estimate(f, ball(2, 2.0), z) is z
+
+    def test_non_finite_hessian_keeps_point(self):
+        base = make_diagonal_quadratic([1.0, -1.0])
+        f = ObjectiveFunction(
+            dim=2, f=base.f, grad=base.grad, hess=lambda x: np.full((2, 2), np.nan)
+        )
+        with pytest.raises(NonFiniteValue):
+            f.hessian(np.zeros(2))
+        z = np.array([0.1, 0.2])
+        assert _refine_point_estimate(f, ball(2, 2.0), z) is z
 
 
 class TestRateMeasurement:
