@@ -171,7 +171,10 @@ def run(config):
             exit_code = EXIT_NOT_CONVERGED
 
     if config.trace_out is not None and trace is not None:
-        trace.write(config.trace_out, fmt=config.format)
+        try:
+            trace.write(config.trace_out, fmt=config.format)
+        except OSError as exc:
+            raise ConfigError("trace-out", str(exc)) from None
         lines.append(f"trace written    {config.trace_out}")
     return exit_code, lines
 

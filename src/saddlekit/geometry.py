@@ -168,8 +168,14 @@ class _SliceProblem:
 
 
 def _pull_to_level(sp, w, l, feas_tol, max_steps=80, v0=None):
-    """Move ``w`` onto phi >= l via Newton steps along the gradient."""
+    """Move ``w`` onto phi >= l via Newton steps along the gradient.
+
+    Stops early once 4 steps in a row fail to halve the best deficit seen:
+    near the critical value the slack can lie below what phi resolves, and
+    further steps only sample rounding noise.
+    """
     v = (sp.phi(w) - l) if v0 is None else v0
+    best, stalls = -v, 0
     for _ in range(max_steps):
         if v >= -feas_tol:
             return w
@@ -179,6 +185,10 @@ def _pull_to_level(sp, w, l, feas_tol, max_steps=80, v0=None):
             return None
         w = sp.clip(w - (v / g2) * g)
         v = sp.phi(w) - l
+        stalls = 0 if -v <= 0.5 * best else stalls + 1
+        best = min(best, -v)
+        if stalls >= 4:
+            break
     return None if v < -feas_tol else w
 
 

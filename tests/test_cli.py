@@ -84,6 +84,17 @@ class TestSolveCommand:
         text = capsys.readouterr().out
         assert "bracket" in text and "level estimate" in text
 
+    def test_unwritable_trace_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "t.csv"
+        code = run_cli(
+            "solve", "--problem", "quadratic-diag:1,-1", "--morse-index", "1",
+            "--algorithm", "bisection", "--lower", "-1", "--upper", "1",
+            "--max-iter", "4", "--trace-out", str(out),
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: trace-out: ")
+        assert not out.exists()
+
     def test_determinism(self, tmp_path):
         paths = []
         for name in ("a.csv", "b.csv"):

@@ -3,12 +3,16 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import axis_subspace, ball, span_subspace
 from saddlekit.errors import BadSignature, NonUniqueWarning, SliceEmpty, ZeroGradient
 from saddlekit.geometry import (
     AffineSubspace,
     TrustRegion,
+    _pull_to_level,
+    _SliceProblem,
     brute_force_diameter,
     closest_point_on_slice,
     inner_max_diameter,
@@ -128,6 +132,91 @@ class TestInnerMaxDiameter:
         lo = 2.0 * np.sqrt(lvl / (coeffs[1] - delta))
         hi = 2.0 * np.sqrt(lvl / (coeffs[1] + delta))
         assert lo - 1e-9 <= t.diameter <= hi + 1e-9
+
+
+class TestPullToLevel:
+    @staticmethod
+    def counted(fn):
+        """``fn`` with a running count of its value calls."""
+        calls = [0]
+
+        def value(x):
+            calls[0] += 1
+            return fn.f(x)
+
+        return ObjectiveFunction(fn.dim, value, fn.grad, fn.hess), calls
+
+    @staticmethod
+    def plain_newton_pull(sp, w, l, feas_tol, max_steps=80):
+        """The pull without a stall exit, as the reference for well-posed cases."""
+        v = sp.phi(w) - l
+        for _ in range(max_steps):
+            if v >= -feas_tol:
+                return w
+            g = sp.gphi(w)
+            w = sp.clip(w - (v / float(g @ g)) * g)
+            v = sp.phi(w) - l
+        return None if v < -feas_tol else w
+
+    def test_unresolvable_level_stops_early(self):
+        # phi is 1 - |w|^2 floored to a 1e-6 grid, and the level sits 1e-9
+        # above a grid value: every Newton step asks phi for a change far
+        # below its resolution, so the deficit never shrinks
+        q = 1e-6
+        smooth = make_diagonal_quadratic([-1.0, -1.0])
+        fn = ObjectiveFunction(
+            2, lambda x: q * np.floor((1.0 + smooth.f(x)) / q), smooth.grad, smooth.hess
+        )
+        fn, calls = self.counted(fn)
+        sp = _SliceProblem(fn, axis_subspace(2, [0, 1]), ball(2, 2.0))
+        w0 = np.array([np.sqrt(0.25 - 0.3 * q), 0.0])
+        l = 0.75 + 1e-9
+        assert sp.phi(w0) - l < -1e-12
+        calls[0] = 0
+        assert _pull_to_level(sp, w0, l, 1e-12) is None
+        assert calls[0] <= 10
+
+    def test_well_posed_pull_lands_where_plain_newton_does(self):
+        fn = make_diagonal_quadratic([1.0, -1.0, -3.0])
+        sp = _SliceProblem(fn, axis_subspace(3, [1, 2], base=[0.2, 0.0, 0.0]), ball(3, 2.0))
+        w0 = np.array([0.9, 0.4])
+        l, feas_tol = -0.5, 1e-12
+        w = _pull_to_level(sp, w0, l, feas_tol)
+        assert w is not None and sp.phi(w) >= l - feas_tol
+        npt.assert_array_equal(w, self.plain_newton_pull(sp, w0, l, feas_tol))
+
+
+class TestSliceInvariance:
+    """The diameter of a slice does not depend on the coordinates: for
+    g(y) = f(Qy + c) the slice through the pre-image of S has the same
+    diameter as S for f.  The slice is the negative eigenspace of a diagonal
+    saddle quadratic, so every superlevel slice is a convex ellipse."""
+
+    @settings(max_examples=12, derandomize=True, database=None, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.floats(0.0, 3.0),
+        level=st.floats(-1.5, -0.2),
+    )
+    def test_diameter_invariant_under_rotation_and_translation(self, seed, shift, level):
+        rng = np.random.default_rng(seed)
+        f = make_diagonal_quadratic([1.0, 2.0, -1.0, -3.0])
+        q_mat, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        c = rng.standard_normal(4)
+        c *= shift / np.linalg.norm(c)
+        g = ObjectiveFunction(
+            4,
+            lambda y: f.value(q_mat @ y + c),
+            lambda y: q_mat.T @ f.gradient(q_mat @ y + c),
+            lambda y: q_mat.T @ f.hessian(q_mat @ y + c) @ q_mat,
+        )
+        s_x = axis_subspace(4, [2, 3])
+        y0 = q_mat.T @ -c
+        s_y = AffineSubspace(y0, Frame(q_mat.T @ s_x.frame.columns))
+        t_x = inner_max_diameter(f, s_x, level, ball(4, 2.0))
+        t_y = inner_max_diameter(g, s_y, level, ball(y0, 2.0))
+        assert t_y.diameter == pytest.approx(t_x.diameter, abs=1e-9)
+        assert t_x.diameter == pytest.approx(2.0 * np.sqrt(-level), abs=1e-9)
 
 
 class TestClosestPoint:
