@@ -841,9 +841,10 @@ def quadratic_minmax_exact(a, l):
 def brute_force_diameter(f, S, l, U, grid_resolution=64):
     """Dense-grid oracle for the slice diameter (slice dimension <= 3).
 
-    Enumerates a regular grid on the local ball, keeps the points with
-    f >= l, and scans all pairs with the compiled kernel.  The result is
-    within O(diam(U) / grid_resolution) of the true diameter.
+    Maps a regular grid on the local ball to ambient points in one product,
+    keeps the points with f >= l (one ``f.value`` call each), and finds
+    their widest pair on its convex hull (:mod:`saddlekit.kernels`).  The
+    result is within O(diam(U) / grid_resolution) of the true diameter.
     """
     if S.dim > 3:
         raise ValueError("brute force oracle is limited to slice dimension <= 3")
@@ -859,7 +860,7 @@ def brute_force_diameter(f, S, l, U, grid_resolution=64):
     inside = np.linalg.norm(pts - sp.wc, axis=1) <= sp.rloc * (1.0 + 1e-12)
     pts = pts[inside]
     feas_tol = 1e-12 * (1.0 + abs(l))
-    vals = np.array([sp.phi(w) for w in pts])
+    vals = np.array([f.value(x) for x in sp.base + pts @ sp.v.T])
     pts = pts[vals >= l - feas_tol]
     if pts.shape[0] == 0:
         return _empty_triple(sp)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import NotConcave, SingularSimplex
 from .linalg import qr_decompose, sym_eigen
@@ -185,6 +184,10 @@ def concave_upper_bound(data, curvature_negative=True):
     pointwise minimum of the m+1 tangent planes is a linear program over the
     facet's barycentric coordinates; the bound is the maximum over facets.
     """
+    # imported here, not with the module: scipy.optimize would be most of the
+    # time taken by `import saddlekit`
+    from scipy.optimize import linprog
+
     if not curvature_negative:
         raise NotConcave("caller states the curvature is not negative definite")
     model = fit_quadratic_rectangular(data)

@@ -363,6 +363,30 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_diameter(f, axis_subspace(2, [1]), -1.0, ball(2, 2.0), 16)
 
+    @settings(max_examples=12, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), angle=st.floats(0.0, 0.03), offset=st.floats(0.05, 0.9))
+    def test_solver_never_below_grid(self, seed, angle, offset):
+        """The grid's widest pair is feasible, so the slice solver reaches its
+        length.  Slices within ``angle`` rad of the negative eigenspace of
+        x1^2 - x2^2 - 3 x3^2 (f concave there), ``offset`` below their top."""
+        rng = np.random.default_rng(seed)
+        f = make_diagonal_quadratic([1.0, -1.0, -3.0])
+        skew = rng.standard_normal((3, 3))
+        skew = np.tan(0.5 * angle) * (skew - skew.T) / np.linalg.norm(skew - skew.T, 2)
+        tilt = np.linalg.solve(np.eye(3) - skew, np.eye(3) + skew)  # Cayley: rotation by <= angle
+        frame = tilt[:, 1:]
+        base = tilt[:, 0] * rng.uniform(-0.02, 0.02)
+        s = AffineSubspace(base, Frame(frame))
+        h = frame.T @ f.hessian(base) @ frame
+        top = f.value(base + frame @ np.linalg.solve(h, -(frame.T @ f.gradient(base))))
+        level, region, res = top - offset, ball(3, 1.0), 64
+        t_inner = inner_max_diameter(f, s, level, region, rng=np.random.default_rng(seed))
+        t_bf = brute_force_diameter(f, s, level, region, res)
+        rloc = np.sqrt(1.0 - float(base @ base))
+        grid_error = 2.0 * np.sqrt(2.0) * (2.0 * rloc / (res - 1))
+        assert t_inner.diameter >= t_bf.diameter - 1e-9 * (1.0 + t_bf.diameter)
+        assert t_inner.diameter - t_bf.diameter <= grid_error
+
 
 class TestContainers:
     def test_trust_region_validation(self):

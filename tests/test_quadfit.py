@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -202,6 +205,15 @@ class TestConcaveUpperBound:
         data = simplex_from(f, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(NotConcave):
             concave_upper_bound(data, curvature_negative=False)
+
+    def test_package_import_loads_no_scipy(self):
+        # scipy.optimize alone would triple the package's import time
+        code = (
+            f"import sys; sys.path[:0] = {sys.path!r}; import saddlekit; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestSimplexData:

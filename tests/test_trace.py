@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddlekit.errors import TraceParseError
 from saddlekit.trace import SolverTrace, TraceRecord
@@ -106,6 +110,38 @@ class TestCriticalValue:
         assert isinstance(json.loads(json_path.read_text()), list)
         for path in (csv_path, json_path):
             assert SolverTrace.read(path).critical_value is None
+
+
+# any finite double, besides signed zeros, subnormals and the exponent extremes
+_num = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1e300]
+) | st.floats(allow_nan=False, allow_infinity=False)
+# l, u, diameter, kkt_residual, z, grad_norm, ratio
+_fields = st.tuples(_num, st.none() | _num, _num, st.just(float("nan")) | _num,
+                    st.lists(_num, max_size=5), _num, st.none() | _num)
+
+
+class TestFuzzRoundTrip:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(rows=st.lists(_fields, max_size=6), critical_value=st.none() | _num,
+           fmt=st.sampled_from(["csv", "json"]))
+    def test_bit_exact(self, rows, critical_value, fmt):
+        t = SolverTrace(critical_value=critical_value)
+        for i, (l, u, diameter, kkt, z, grad_norm, ratio) in enumerate(rows):
+            t.append(TraceRecord(i, l, u, diameter, kkt, np.array(z, dtype=float), grad_norm, ratio))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"trace.{fmt}"
+            t.write(path, fmt=fmt)
+            back = SolverTrace.read(path)
+
+        def bits(v):
+            return None if v is None else float(v).hex()
+
+        assert bits(back.critical_value) == bits(t.critical_value) and len(back) == len(t)
+        for a, b in zip(t, back):
+            for name in ("iter", "l", "u", "diameter", "kkt_residual", "grad_norm", "ratio"):
+                assert bits(getattr(b, name)) == bits(getattr(a, name)), name
+            assert b.z.dtype == np.float64 and b.z.tobytes() == a.z.tobytes()
 
 
 class TestValidation:
