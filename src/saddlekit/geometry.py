@@ -455,7 +455,8 @@ def inner_max_diameter(
     diameter-0 triple flagged ``empty`` when the slice contains no point.
 
     ``warm_pair`` restarts from a previous ambient pair and skips the
-    multi-start (used by the outer rotation search).  ``polish_tol`` bounds
+    multi-start (used by the outer rotation search and, from one iteration
+    to the next, by the local driver).  ``polish_tol`` bounds
     the final stationarity residual; the local driver loosens it on purpose
     to keep subproblem cost proportional to the current level gap.
     ``feas_scale`` overrides the scale of the feasibility slack (default

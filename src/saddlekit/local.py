@@ -1,12 +1,15 @@
 """Superlinearly convergent local driver.
 
-Each iteration solves the min-max slice problem at the current lower bound
-l_i, estimates the negative eigenspace through the midpoint of the widest
-pair, and raises the bound to the minimum of the objective on the orthogonal
-affine space.  Near a nondegenerate saddle the restriction is convex when
-the eigenspace estimate is right, so a failure of that minimization
-(:class:`Unbounded`) is a meaningful signal that the subspace was wrong,
-not a solver bug.
+Each iteration solves the slice problem at the current lower bound l_i on
+one subspace, estimates the negative eigenspace through the midpoint of the
+widest pair, and raises the bound to the minimum of the objective on the
+orthogonal affine space.  The next iteration's subspace is the eigenspace
+estimate rebased at that minimiser ``z + V w*``: the base point itself
+corrects any offset in the positive directions, so no rotation or
+translation search runs inside the loop.  Near a nondegenerate saddle the
+restriction is convex when the eigenspace estimate is right, so a failure
+of that minimization (:class:`Unbounded`) is a meaningful signal that the
+subspace was wrong, not a solver bug.
 
 Subproblems are solved inexactly on purpose: the pair ascent stalls once its
 progress falls below ``(forcing * rho^2)**2`` where ``rho`` is the measured
@@ -32,7 +35,8 @@ from .errors import (
 from .geometry import AffineSubspace, closest_point_on_slice, inner_max_diameter
 from .linalg import Frame, complete_frame, unit
 from .newton import trust_region_minimize
-from .outer import outer_min_subspace
+# unused here, but perfbench's span table patches outer_min_subspace by this name
+from .outer import default_initial_subspace, outer_min_subspace  # noqa: F401
 from .trace import SolverTrace, TraceRecord
 
 __all__ = [
@@ -94,9 +98,18 @@ def orthogonal_space_lower_bound(f, z, S, U):
     :class:`Unbounded` when the descent pins to the boundary of U with the
     objective still falling outward.
     """
+    return _orthogonal_space_min(f, z, S, U)[0]
+
+
+def _orthogonal_space_min(f, z, S, U):
+    """Certified lower bound and minimiser ``z + V w*`` of the orthogonal space.
+
+    Same minimization as :func:`orthogonal_space_lower_bound`, which returns
+    only the bound; the local driver also needs the point, the base of its
+    next subspace.
+    """
     z = np.asarray(z, dtype=float)
-    comp = complete_frame(S.frame).columns[:, S.dim:]
-    v = comp
+    v = complete_frame(S.frame).columns[:, S.dim:]
 
     def val(w):
         return f.value(z + v @ w)
@@ -124,7 +137,7 @@ def orthogonal_space_lower_bound(f, z, S, U):
     evmin = float(np.linalg.eigvalsh(hess(res.w))[0])
     if evmin > 0.0:
         value -= res.grad_norm**2 / (2.0 * evmin)
-    return value
+    return value, z + v @ res.w
 
 
 def estimate_negative_eigenspace(f, triple, l, m, radius=None, rng=None, prev_frame=None):
@@ -176,77 +189,54 @@ def fast_local_solve(
     S0=None,
     forcing=0.3,
     rng=None,
-    outer_kwargs=None,
     critical_value=None,
 ):
     """Run the local level-raising iteration from the lower bound ``l0``.
 
-    Returns a :class:`LocalResult`.  ``naive_subspace`` skips the eigenspace
-    estimation and feeds the outer minimizer's subspace straight to the
-    orthogonal-space minimization, which reproduces the documented failure
-    on problems like ``failure-3d``.  ``critical_value``, when known, is
-    stored on the trace and is the reference of the rate measurement.
+    Returns a :class:`LocalResult`.  The first slice is taken on ``S0``, or
+    on the Hessian eigenspace at the trust centre.  ``naive_subspace`` skips
+    the eigenspace estimation and feeds the slice's own subspace straight to
+    the orthogonal-space minimization, which reproduces the documented
+    failure on problems like ``failure-3d``.  ``critical_value``, when known,
+    is stored on the trace and is the reference of the rate measurement.
     Raises :class:`Unbounded` or :class:`LowerBoundViolated` when the
     iteration leaves its basin.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    outer_kwargs = dict(outer_kwargs or {})
-    outer_kwargs.setdefault("probe_nonunique", False)
-    # the eigenspace estimate replaces the rotation search here: each outer
-    # call checks a single sweep of rotations and otherwise trusts the
-    # subspace handed to it
-    outer_kwargs.setdefault("rot_step0", np.pi / 16.0)
-    outer_kwargs.setdefault("rot_step_min", np.pi / 16.0)
+    if not (1 <= m <= f.dim):
+        raise ValueError(f"morse index must satisfy 1 <= m <= {f.dim}")
+    if S0 is not None and S0.dim != m:
+        raise ValueError("initial subspace dimension does not match the index")
+    # the naive path and forcing 0 solve exact subproblems (ascent and polish)
+    inner_kwargs = {}
+    if forcing > 0.0 and not naive_subspace:
+        inner_kwargs = dict(auto_forcing=forcing, polish=False, axis_seeds=False, n_random_starts=1)
     l = float(l0)
-    s_hint = S0
+    s_hint = S0 if S0 is not None else default_initial_subspace(f, U, m)
     prev_est = None
-    prev_pair = None
     trace = SolverTrace(critical_value=critical_value)
     states = []
     prev_gap = None
     converged = False
     z = U.center.copy()
     iterations = 0
-    prev_rho2 = None  # squared slice radius of the previous iteration
     for i in range(max_iter):
         iterations = i + 1
-        if naive_subspace:
-            # trust the supplied (or Hessian-default) subspace outright and
-            # feed it straight to the orthogonal-space minimization
-            from .outer import default_initial_subspace
-
-            s_solve = s_hint if s_hint is not None else default_initial_subspace(f, U, m)
-            triple = inner_max_diameter(f, s_solve, l, U, rng=rng)
-        else:
-            if forcing > 0.0:
-                inner_kwargs = {
-                    "auto_forcing": forcing,
-                    "polish": False,
-                    "feas_scale": prev_rho2,
-                    "axis_seeds": False,
-                    "n_random_starts": 1,
-                }
-            else:
-                # forcing 0 means exact subproblems (full ascent plus polish)
-                inner_kwargs = {"feas_scale": prev_rho2}
-            triple = outer_min_subspace(
-                f, l, U, m,
-                S0=s_hint, rng=rng, warm_pair=prev_pair,
-                inner_kwargs=inner_kwargs, **outer_kwargs,
-            )
+        triple = inner_max_diameter(f, s_hint, l, U, rng=rng, **inner_kwargs)
+        z = triple.midpoint
         if triple.empty or triple.diameter <= 0.0:
             # level has reached the critical value within resolution; the
             # degenerate slice's anchor is the best point estimate
-            z = triple.midpoint
             converged = True
             break
-        z = triple.midpoint
-        prev_pair = (triple.x, triple.y)
-        prev_rho2 = max(0.25 * triple.diameter**2, 1e-300)
         if naive_subspace:
             s_est = triple.subspace
         else:
+            # the next slice starts from this pair, with its feasibility
+            # slack scaled to this slice's squared radius
+            inner_kwargs["warm_pair"] = (triple.x, triple.y)
+            inner_kwargs["feas_scale"] = max(0.25 * triple.diameter**2, 1e-300)
             try:
                 s_est = estimate_negative_eigenspace(
                     f, triple, l, m, radius=2.0 * U.radius, rng=rng, prev_frame=prev_est
@@ -258,7 +248,7 @@ def fast_local_solve(
                     break
                 raise
         prev_est = s_est.frame
-        l_next = orthogonal_space_lower_bound(f, z, s_est, U)
+        l_next, z_min = _orthogonal_space_min(f, z, s_est, U)
         if l_next < l - 1e-9 * (1.0 + abs(l)):
             raise LowerBoundViolated(
                 f"level dropped from {l!r} to {l_next!r}; the iterate left the basin"
@@ -277,7 +267,9 @@ def fast_local_solve(
             ratio=ratio,
         ))
         states.append(LocalState(i, l_next, z, s_est, triple))
-        s_hint = s_est
+        # rebasing at the minimiser moves the next slice onto the saddle's
+        # positive directions; the frame is the eigenspace estimate
+        s_hint = AffineSubspace(z_min, s_est.frame)
         if gap <= tol * (1.0 + abs(l)):
             l = l_next
             converged = True

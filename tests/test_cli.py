@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from saddlekit.cli import main
 from saddlekit.trace import SolverTrace
 
@@ -84,6 +89,28 @@ class TestSolveCommand:
         text = capsys.readouterr().out
         assert "bracket" in text and "level estimate" in text
 
+    def test_both_hands_off_centre_bracket_to_local(self, tmp_path, capsys):
+        # bisection's subspace seeds the local method around a centre that
+        # is off the saddle
+        texts, paths = [], []
+        for name in ("a.csv", "b.csv"):
+            out = tmp_path / name
+            code = run_cli(
+                "solve", "--problem", "cubic-saddle", "--morse-index", "1",
+                "--center", "0.05,-0.05", "--radius", "1",
+                "--lower", "-1", "--upper", "1", "--max-iter", "12",
+                "--trace-out", str(out),
+            )
+            assert code == 0
+            texts.append(capsys.readouterr().out)
+            paths.append(out)
+        level = next(
+            line.split()[-1] for line in texts[0].splitlines()
+            if line.startswith("level estimate")
+        )
+        assert abs(float(level)) <= 1e-12
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_unwritable_trace_is_a_config_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "t.csv"
         code = run_cli(
@@ -153,3 +180,17 @@ class TestReportCommand:
         code = run_cli("report", str(bad))
         assert code == 1
         assert "parse error" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_without_install():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [
+            sys.executable, "-m", "saddlekit", "solve", "--problem", "failure-3d",
+            "--morse-index", "2", "--algorithm", "fast-local", "--lower", "-1",
+        ],
+        capture_output=True, text=True, env=env,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "level estimate" in out.stdout

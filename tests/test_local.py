@@ -2,7 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import axis_subspace, ball
+import saddlekit.local
+import saddlekit.outer
+from conftest import axis_subspace, ball, span_subspace
 from saddlekit.errors import (
     DomainViolation,
     InsufficientData,
@@ -14,6 +16,7 @@ from saddlekit.errors import (
 from saddlekit.geometry import AffineSubspace, OptimizingTriple, inner_max_diameter
 from saddlekit.linalg import Frame
 from saddlekit.local import (
+    _orthogonal_space_min,
     _refine_point_estimate,
     classify_gaps,
     estimate_negative_eigenspace,
@@ -84,6 +87,29 @@ class TestOrthogonalSpaceLowerBound:
         bound = -0.5 * na * (1.0 + inv * 1.0 * na) ** 2 * float(z @ z)
         assert val >= bound
         assert abs(val) <= 10.0 * float(z @ z)
+
+
+class TestOrthogonalSpaceMin:
+    def test_minimiser_lies_on_the_orthogonal_space_in_the_region(self):
+        f = make_perturbed_quadratic([1.0, 0.5, -1.0, -0.5], 0.2)
+        region = ball(np.full(4, 0.05), 1.0)
+        z = np.array([0.1, -0.2, 0.05, 0.3])
+        s = span_subspace(z, [0.1, 0.0, 1.0, 0.2], [0.0, -0.1, 0.1, 1.0])
+        bound, point = _orthogonal_space_min(f, z, s, region)
+        npt.assert_allclose(s.frame.columns.T @ (point - z), 0.0, atol=1e-14)
+        assert region.contains(point)
+        # away from z: the minimiser carries information the bound alone lacks
+        assert np.linalg.norm(point - z) > 0.1
+
+    def test_value_matches_the_public_bound(self):
+        # strictly convex restriction: the bound is the value at the point
+        f = make_perturbed_quadratic([1.0, 0.5, -1.0, -0.5], 0.05)
+        region = ball(4, 1.0)
+        z = np.array([0.2, 0.1, 0.0, 0.0])
+        s = axis_subspace(4, [2, 3], base=z)
+        bound, point = _orthogonal_space_min(f, z, s, region)
+        assert bound == orthogonal_space_lower_bound(f, z, s, region)
+        assert bound == pytest.approx(f.value(point), abs=1e-15)
 
 
 class TestEigenspaceEstimation:
@@ -223,6 +249,76 @@ class TestFastLocal:
         assert abs(res.value_estimate) < 1e-10
         rate = measure_convergence_rate(res.trace, true_value=0.0)
         assert rate.classification == "Superlinear"
+
+
+class TestOffCentre:
+    @pytest.mark.parametrize("l0", [-0.3, -0.1])
+    @pytest.mark.parametrize("off", [0.0, 0.02, 0.1])
+    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.2])
+    def test_converges(self, delta, off, l0):
+        # the trust centre off the saddle: the Hessian eigenspace at the
+        # centre is not the best subspace, and its base lies off the positive
+        # directions
+        f = make_perturbed_quadratic([1.0, 0.5, -1.0, -0.5], delta)
+        region = ball(np.full(4, off / 2.0), 1.0)
+        res = fast_local_solve(f, region, 2, l0, tol=1e-12, rng=np.random.default_rng(0))
+        assert res.converged
+        assert abs(res.value_estimate) <= 1e-12
+        assert np.linalg.norm(f.gradient(res.point_estimate)) <= 1e-10
+
+
+class TestLoopStructure:
+    def _count_calls(self, monkeypatch):
+        calls = {"inner": 0, "outer": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            saddlekit.local, "inner_max_diameter", counted("inner", inner_max_diameter)
+        )
+        outer = counted("outer", outer_min_subspace)
+        monkeypatch.setattr(saddlekit.local, "outer_min_subspace", outer)
+        monkeypatch.setattr(saddlekit.outer, "outer_min_subspace", outer)
+        return calls
+
+    @pytest.mark.parametrize("forcing", [0.3, 0.0])
+    def test_one_inner_solve_per_iteration(self, monkeypatch, forcing):
+        calls = self._count_calls(monkeypatch)
+        f = make_perturbed_quadratic([1.0, 0.5, -1.0, -0.5], 0.05)
+        res = fast_local_solve(f, ball(np.full(4, 0.05), 1.0), 2, -0.3, tol=1e-12, forcing=forcing)
+        assert res.converged
+        assert calls == {"inner": res.iterations, "outer": 0}
+
+    def test_naive_path_one_inner_solve_per_iteration(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        prob = failure_3d_problem()
+        base, cols = prob.naive_subspace
+        with pytest.raises(Unbounded):
+            fast_local_solve(
+                prob.objective, ball(3, 2.0), 2, -1.0,
+                naive_subspace=True, S0=AffineSubspace(base, Frame(cols)),
+            )
+        assert calls == {"inner": 1, "outer": 0}
+
+    def test_next_subspace_is_rebased_at_the_minimiser(self):
+        f = make_perturbed_quadratic([1.0, 0.5, -1.0, -0.5], 0.05)
+        region = ball(np.full(4, 0.05), 1.0)
+        res = fast_local_solve(f, region, 2, -0.3, tol=1e-12)
+        assert len(res.states) >= 2
+        for prev, state in zip(res.states, res.states[1:]):
+            _, point = _orthogonal_space_min(f, prev.midpoint, prev.eigen_subspace, region)
+            assert state.triple.subspace.frame is prev.eigen_subspace.frame
+            npt.assert_array_equal(state.triple.subspace.base, point)
+
+    def test_supplied_subspace_must_have_dimension_m(self):
+        f = make_diagonal_quadratic([1.0, -1.0, -3.0])
+        with pytest.raises(ValueError, match="dimension"):
+            fast_local_solve(f, ball(3, 2.0), 2, -1.0, S0=axis_subspace(3, [2]))
 
 
 class TestRefinePointEstimate:
