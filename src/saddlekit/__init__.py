@@ -39,7 +39,7 @@ from .geometry import (
     opposite_gradient_residual,
     quadratic_minmax_exact,
 )
-from .linalg import Frame, complete_frame, orthonormalize, pseudoinverse, qr_decompose, sym_eigen
+from .linalg import Frame, complete_frame, orthonormalize, qr_decompose, sym_eigen
 from .local import (
     LocalResult,
     LocalState,
@@ -63,7 +63,7 @@ from .objectives import (
     make_quadratic,
     problem_from_name,
 )
-from .outer import LevelFeasibility, SubspaceIterate, level_feasibility, outer_min_subspace
+from .outer import outer_min_subspace
 from .quadfit import (
     QuadraticModel,
     SimplexData,

@@ -62,31 +62,23 @@ def default_bracket(f, U, rng=None, n_seeds=16):
     return float(min(vals)), float(max(vals)) + 1.0
 
 
-def bisection_solve(
-    f,
-    U,
-    m,
-    l0,
-    u0,
-    tol=0.0,
-    max_iter=50,
-    empty_tol=1e-9,
-    rng=None,
-    outer_kwargs=None,
-):
+def bisection_solve(f, U, m, l0, u0, tol=0.0, max_iter=50, empty_tol=1e-9, rng=None):
     """Bisect on the level until the bracket width drops below ``tol``.
 
-    Returns ``((lower, upper), triple, trace)`` where the triple is the
-    widest pair from the last level certified below the critical value (its
-    midpoint is the critical-point candidate).  The final width satisfies
+    Each midpoint level is classified by :func:`outer_min_subspace` on the
+    full rotation schedule, without the subspace-uniqueness probe, started
+    from the subspace of the last level certified below the critical value.
+    A minimized diameter at most ``empty_tol`` moves the upper bound down;
+    a larger one raises the lower bound.  Returns
+    ``((lower, upper), triple, trace)`` where the triple is the widest pair
+    from the last level certified below the critical value (its midpoint is
+    the critical-point candidate).  The final width satisfies
     ``upper - lower <= max(tol, (u0 - l0) * 2**-max_iter)``.
     """
     if not (l0 < u0):
         raise InvalidBracket(f"need l0 < u0, got [{l0}, {u0}]")
     if rng is None:
         rng = np.random.default_rng(0)
-    outer_kwargs = dict(outer_kwargs or {})
-    outer_kwargs.setdefault("probe_nonunique", False)
 
     state = BisectionState(iter=0, lower=float(l0), upper=float(u0))
     trace = SolverTrace()
@@ -97,7 +89,7 @@ def bisection_solve(
             break
         state.iter = i
         mid = 0.5 * (state.lower + state.upper)
-        triple = outer_min_subspace(f, mid, U, m, S0=s_hint, rng=rng, **outer_kwargs)
+        triple = outer_min_subspace(f, mid, U, m, S0=s_hint, rng=rng, probe_nonunique=False)
         if triple.diameter <= empty_tol:
             state.upper = mid
         else:

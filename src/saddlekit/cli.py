@@ -9,11 +9,13 @@ Two subcommands:
   are measured against ``--true-value``, else the critical value stored in
   the trace, else an extrapolated limit.
 
-Exit codes: 0 converged, 1 configuration error, 2 not converged,
-3 structural failure (unbounded restriction / empty slice).
+Exit codes: 0 converged, 1 configuration error (including a malformed
+command line), 2 not converged, 3 structural failure (unbounded restriction
+/ empty slice).
 """
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -179,8 +181,35 @@ def run(config):
     return exit_code, lines
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with the configuration-error code, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+# options whose value may be a negative number or a comma-separated point
+_NUMERIC_OPTIONS = ("--center", "--radius", "--lower", "--upper", "--tol", "--true-value")
+
+
+def _join_negative_values(argv):
+    """``--center -1,2`` -> ``--center=-1,2``, ``--lower -1e-3`` -> ``--lower=-1e-3``.
+
+    argparse reads a value that starts with ``-`` as an option unless it is
+    a plain decimal, so a point or an exponent form would be rejected.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] in _NUMERIC_OPTIONS and re.match(r"-[\d.]", arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="saddlekit",
         description="Locate saddle points of prescribed Morse index by "
         "level-set min-max bisection and a fast local method.",
@@ -283,7 +312,8 @@ def _cmd_report(args):
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_join_negative_values(argv))
     if args.command == "solve":
         return _cmd_solve(args)
     if args.command == "report":

@@ -310,7 +310,7 @@ def _improve_point(sp, l, p, q, feas_tol, step, max_steps=50, max_backtracks=12)
     return p, step
 
 
-def _ascend_pair(sp, l, p, q, feas_tol, ascent_tol, max_sweeps):
+def _ascend_pair(sp, l, p, q, feas_tol, ascent_tol, max_sweeps=120):
     sep = float(np.linalg.norm(p - q))
     step = 0.25 * sp.rloc
     converged = False
@@ -428,77 +428,65 @@ def _empty_triple(sp):
     )
 
 
-def inner_max_diameter(
-    f,
-    S,
-    l,
-    U,
-    rng=None,
-    n_random_starts=2,
-    ascent_tol=1e-11,
-    max_sweeps=120,
-    polish_tol=None,
-    warm_pair=None,
-    detect_nonunique=None,
-    with_certificate=True,
-    axis_seeds=True,
-    feas_scale=None,
-    polish=True,
-    auto_forcing=None,
-):
+def inner_max_diameter(f, S, l, U, rng=None, warm_pair=None, feas_scale=None, forcing=None):
     """Widest pair of points on the slice S ∩ {f >= l} ∩ U.
 
     Alternating two-point ascent: each point in turn is pushed away from the
-    other by projected steps that track the level boundary, seeded from the
-    ±frame directions plus random rays (2k+2 starts).  Converged pairs are
-    refined by a Newton polish of the stationarity system.  Returns a
+    other by projected steps that track the level boundary.  Returns a
     diameter-0 triple flagged ``empty`` when the slice contains no point.
 
-    ``warm_pair`` restarts from a previous ambient pair and skips the
-    multi-start (used by the outer rotation search and, from one iteration
-    to the next, by the local driver).  ``polish_tol`` bounds
-    the final stationarity residual; the local driver loosens it on purpose
-    to keep subproblem cost proportional to the current level gap.
-    ``feas_scale`` overrides the scale of the feasibility slack (default
-    1 + |l|).  ``axis_seeds`` disables the ±frame-direction seeds, leaving
-    only random ones; axis seeds are degenerate on axis-symmetric slices,
-    where they pin the pair to an exactly symmetric configuration.
+    ``forcing=None`` is the exact solve: seeds along the ±frame directions
+    plus two random rays (2k+2 starts), an ascent run until a sweep gains
+    less than 1e-11 (relative), and a Newton polish of the stationarity
+    system down to a residual of 1e-13 (1 + |l|).  A number is the local
+    driver's inexact solve: one random ray, no polish, and after seeding the
+    slice radius rho is measured from the seed separation and the ascent is
+    stalled at a progress threshold of order (forcing * rho^2)^2, which
+    leaves a midpoint error of order forcing * rho^2, i.e. proportional to
+    the level gap still to climb.  Tolerances then track the slice rather
+    than any assumed critical value.
 
-    ``auto_forcing`` is the local driver's inexactness knob: after seeding,
-    the slice radius rho is measured from the seed separation and the ascent
-    is stalled at a progress threshold of order (auto_forcing * rho^2)^2,
-    which leaves a midpoint error of order auto_forcing * rho^2, i.e.
-    proportional to the level gap still to climb.  Tolerances then track the
-    slice rather than any assumed critical value.
+    ``warm_pair`` restarts from a previous ambient pair and skips the
+    seeding (used by the outer rotation search and, from one iteration to
+    the next, by the local driver).  A warm pair that cannot be pulled onto
+    the level is dropped and the slice solved cold.  Only a solve started
+    cold checks the slice for several widest pairs (``non_unique``, with a
+    :class:`NonUniqueWarning`).  ``feas_scale`` overrides the scale of the
+    feasibility slack (default 1 + |l|).
     """
     if rng is None:
         rng = np.random.default_rng(0)
+    return _widest_pair(f, S, l, U, rng, warm_pair, feas_scale, forcing, warm_pair is None)
+
+
+def _widest_pair(f, S, l, U, rng, warm_pair, feas_scale, forcing, detect_nonunique):
     sp = _SliceProblem(f, S, U)
     k = S.dim
     scale = (1.0 + abs(l)) if feas_scale is None else max(float(feas_scale), 1e-300)
     feas_tol = 1e-12 * scale
-    if polish_tol is None:
-        polish_tol = 1e-13 * (1.0 + abs(l))
-    if detect_nonunique is None:
-        detect_nonunique = warm_pair is None
+    ascent_tol = 1e-11
+    polish_tol = 1e-13 * (1.0 + abs(l))
+    polish = forcing is None
 
     starts = []
     if warm_pair is not None:
         p0 = sp.clip(S.to_local(warm_pair[0]))
         q0 = sp.clip(S.to_local(warm_pair[1]))
         starts.append((p0, q0))
-        anchor = None
     else:
         anchor = _find_feasible(sp, l, feas_tol, rng)
         if anchor is None:
             return _empty_triple(sp)
         dirs = []
-        if axis_seeds:
+        # axis seeds are degenerate on axis-symmetric slices, where they pin
+        # the pair to an exactly symmetric configuration; the inexact solve
+        # seeds from one random ray only
+        if polish:
             for i in range(k):
                 e = np.zeros(k)
                 e[i] = 1.0
                 dirs.extend([e, -e])
-        for _ in range(n_random_starts):
+        for _ in range(2 if polish else 1):
             u = rng.standard_normal(k)
             nu = np.linalg.norm(u)
             if nu > 0:
@@ -510,7 +498,7 @@ def inner_max_diameter(
             q0 = _farthest_feasible_on_ray(sp, l, anchor, -u, feas_tol)
             starts.append((p0, q0))
 
-    if auto_forcing is not None:
+    if forcing is not None:
         # measure the slice from the seeds, then re-derive the tolerances so
         # they track the actual gap instead of the level's absolute size
         seps = []
@@ -523,7 +511,7 @@ def inner_max_diameter(
             d0 = max(seps)
             rho2 = max(0.25 * d0 * d0, 1e-300)
             feas_tol = 1e-12 * rho2
-            ascent_tol = (auto_forcing * rho2) ** 2 / (1.0 + d0)
+            ascent_tol = (forcing * rho2) ** 2 / (1.0 + d0)
 
     results = []
     for p0, q0 in starts:
@@ -550,7 +538,7 @@ def inner_max_diameter(
                     results.append((sep0, pp, qq, True))
                     continue
                 p, q = p2, q2
-        p, q, sep, converged = _ascend_pair(sp, l, p, q, feas_tol, ascent_tol, max_sweeps)
+        p, q, sep, converged = _ascend_pair(sp, l, p, q, feas_tol, ascent_tol)
         if polish:
             polished = _polish_pair(sp, l, p, q, feas_tol, polish_tol)
             if polished is not None:
@@ -562,14 +550,7 @@ def inner_max_diameter(
 
     if not results:
         if warm_pair is not None:
-            return inner_max_diameter(
-                f, S, l, U,
-                rng=rng, n_random_starts=n_random_starts, ascent_tol=ascent_tol,
-                max_sweeps=max_sweeps, polish_tol=polish_tol,
-                detect_nonunique=detect_nonunique, with_certificate=with_certificate,
-                axis_seeds=axis_seeds, feas_scale=feas_scale, polish=polish,
-                auto_forcing=auto_forcing,
-            )
+            return _widest_pair(f, S, l, U, rng, None, feas_scale, forcing, False)
         return _empty_triple(sp)
 
     best_sep = max(r[0] for r in results)
@@ -592,7 +573,7 @@ def inner_max_diameter(
                 warnings.warn(
                     "slice has multiple separation-realizing pairs",
                     NonUniqueWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
                 break
 
@@ -600,7 +581,7 @@ def inner_max_diameter(
         U.boundary_distance(x) <= 1e-6 or U.boundary_distance(y) <= 1e-6
     )
     kkt = float("nan")
-    if with_certificate and sep > 1e-12:
+    if sep > 1e-12:
         try:
             kkt = opposite_gradient_residual(f, x, y).residual
         except ZeroGradient:
@@ -619,16 +600,17 @@ def inner_max_diameter(
 
 
 def closest_point_on_slice(
-    f, z, l, S, radius=None, rng=None, tol=1e-12, hint_directions=None, feas_scale=None
+    f, z, l, S, radius=None, rng=None, hint_directions=None, feas_scale=None
 ):
     """Closest point to ``z`` on S ∩ {f <= l}.
 
     ``z`` must lie on S.  Seeds descend along the most negative curvature
-    directions of the restricted Hessian (plus optional hints and random
-    rays), locate a level crossing by sampling and bisection, then polish
-    the closest-point stationarity system by Newton.  Raises
-    :class:`SliceEmpty` when no sublevel point is found within ``radius``.
-    ``feas_scale`` overrides the scale of the level slack (default 1 + |l|).
+    directions of the restricted Hessian (plus the ±``hint_directions``
+    projected onto S and two random rays), locate a level crossing by
+    sampling and bisection, then polish the closest-point stationarity
+    system by Newton.  Raises :class:`SliceEmpty` when no sublevel point is
+    found within ``radius`` (default 10 (1 + |z|)).  The level slack is
+    1e-12 times ``feas_scale`` (default 1 + |l|).
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -640,7 +622,7 @@ def closest_point_on_slice(
     v = S.frame.columns
     wz = S.to_local(z)
     scale = (1.0 + abs(l)) if feas_scale is None else max(float(feas_scale), 1e-300)
-    feas_tol = tol * scale
+    feas_tol = 1e-12 * scale
 
     def psi(w):
         return f.value(S.from_local(w))

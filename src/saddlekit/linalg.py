@@ -1,9 +1,8 @@
 """Small dense linear-algebra substrate.
 
-QR factorization, symmetric eigendecomposition, Moore-Penrose pseudoinverse
-and Gram-Schmidt completion of orthonormal frames.  Everything here is a pure
-function on small dense arrays (n expected well below a few hundred), safe to
-call concurrently.
+QR factorization, symmetric eigendecomposition and Gram-Schmidt completion
+of orthonormal frames.  Everything here is a pure function on small dense
+arrays (n expected well below a few hundred), safe to call concurrently.
 
 Conventions fixed across the toolkit:
 
@@ -24,7 +23,6 @@ __all__ = [
     "qr_decompose",
     "sym_eigen",
     "complete_frame",
-    "pseudoinverse",
     "orthonormalize",
     "unit",
 ]
@@ -167,8 +165,3 @@ def complete_frame(frame):
     out = np.hstack([v] + [c[:, None] for c in new_cols])
     return Frame(out)
 
-
-def pseudoinverse(m):
-    """Moore-Penrose pseudoinverse of a dense matrix."""
-    m = np.asarray(m, dtype=float)
-    return np.linalg.pinv(m)

@@ -32,7 +32,7 @@ from .errors import (
     SliceEmpty,
     Unbounded,
 )
-from .geometry import AffineSubspace, closest_point_on_slice, inner_max_diameter
+from .geometry import AffineSubspace, _SliceProblem, closest_point_on_slice, inner_max_diameter
 from .linalg import Frame, complete_frame, unit
 from .newton import trust_region_minimize
 # unused here, but perfbench's span table patches outer_min_subspace by this name
@@ -110,34 +110,18 @@ def _orthogonal_space_min(f, z, S, U):
     """
     z = np.asarray(z, dtype=float)
     v = complete_frame(S.frame).columns[:, S.dim:]
-
-    def val(w):
-        return f.value(z + v @ w)
-
-    def grad(w):
-        return v.T @ f.gradient(z + v @ w)
-
-    def hess(w):
-        return v.T @ f.hessian(z + v @ w) @ v
-
-    d = U.center - z
-    wc = v.T @ d
-    perp = d - v @ wc
-    rad2 = U.radius**2 - float(perp @ perp)
-    if rad2 <= 0.0:
-        raise ValueError("orthogonal space does not intersect the trust region")
-    rloc = float(np.sqrt(rad2))
-    res = trust_region_minimize(val, grad, hess, np.zeros(v.shape[1]), wc, rloc)
+    sp = _SliceProblem(f, AffineSubspace(z, Frame(v)), U)
+    res = trust_region_minimize(sp.phi, sp.gphi, sp.hphi, np.zeros(v.shape[1]), sp.wc, sp.rloc)
     if res.status == "boundary":
         raise Unbounded(
             "restricted objective keeps descending through the trust-region "
             f"boundary (outward slope {res.outward_slope:.3e})"
         )
     value = float(res.value)
-    evmin = float(np.linalg.eigvalsh(hess(res.w))[0])
+    evmin = float(np.linalg.eigvalsh(sp.hphi(res.w))[0])
     if evmin > 0.0:
         value -= res.grad_norm**2 / (2.0 * evmin)
-    return value, z + v @ res.w
+    return value, sp.ambient(res.w)
 
 
 def estimate_negative_eigenspace(f, triple, l, m, radius=None, rng=None, prev_frame=None):
@@ -209,9 +193,8 @@ def fast_local_solve(
     if S0 is not None and S0.dim != m:
         raise ValueError("initial subspace dimension does not match the index")
     # the naive path and forcing 0 solve exact subproblems (ascent and polish)
-    inner_kwargs = {}
-    if forcing > 0.0 and not naive_subspace:
-        inner_kwargs = dict(auto_forcing=forcing, polish=False, axis_seeds=False, n_random_starts=1)
+    inner_forcing = forcing if forcing > 0.0 and not naive_subspace else None
+    warm_pair = feas_scale = None
     l = float(l0)
     s_hint = S0 if S0 is not None else default_initial_subspace(f, U, m)
     prev_est = None
@@ -223,7 +206,10 @@ def fast_local_solve(
     iterations = 0
     for i in range(max_iter):
         iterations = i + 1
-        triple = inner_max_diameter(f, s_hint, l, U, rng=rng, **inner_kwargs)
+        triple = inner_max_diameter(
+            f, s_hint, l, U,
+            rng=rng, warm_pair=warm_pair, feas_scale=feas_scale, forcing=inner_forcing,
+        )
         z = triple.midpoint
         if triple.empty or triple.diameter <= 0.0:
             # level has reached the critical value within resolution; the
@@ -235,8 +221,8 @@ def fast_local_solve(
         else:
             # the next slice starts from this pair, with its feasibility
             # slack scaled to this slice's squared radius
-            inner_kwargs["warm_pair"] = (triple.x, triple.y)
-            inner_kwargs["feas_scale"] = max(0.25 * triple.diameter**2, 1e-300)
+            warm_pair = (triple.x, triple.y)
+            feas_scale = max(0.25 * triple.diameter**2, 1e-300)
             try:
                 s_est = estimate_negative_eigenspace(
                     f, triple, l, m, radius=2.0 * U.radius, rng=rng, prev_frame=prev_est

@@ -14,27 +14,15 @@ coordinate axes when the Hessian is unavailable).
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import NonFiniteValue, NonUniqueWarning
-from .geometry import AffineSubspace, OptimizingTriple, inner_max_diameter
+from .geometry import AffineSubspace, inner_max_diameter
 from .linalg import Frame, complete_frame
 
-__all__ = ["SubspaceIterate", "outer_min_subspace", "level_feasibility", "LevelFeasibility"]
-
-
-@dataclass(frozen=True)
-class SubspaceIterate:
-    """One candidate of the outer search."""
-
-    subspace: AffineSubspace
-    triple: OptimizingTriple
-
-    @property
-    def objective(self):
-        return self.triple.diameter
+__all__ = ["outer_min_subspace"]
 
 
 def default_initial_subspace(f, U, m):
@@ -68,28 +56,28 @@ def outer_min_subspace(
     rng=None,
     rot_step0=np.pi / 16.0,
     rot_step_min=1e-7,
-    trans_step0=None,
-    max_sweeps=400,
     probe_nonunique=True,
-    warm_pair=None,
-    inner_kwargs=None,
 ):
     """Locally minimal slice diameter over subspace rotations and shifts.
 
-    Returns the best :class:`OptimizingTriple` found.  A diameter-0 result
-    (empty or degenerate slice) is returned as soon as it appears, since the
-    objective cannot drop further.  ``probe_nonunique`` re-solves each
-    rotation plane at a fixed probe angle after convergence and warns when a
-    visibly different subspace attains the same diameter.  ``warm_pair``
-    seeds the initial inner solve (local-driver hook).  ``trans_step0``
-    defaults to an eighth of the trust radius.
+    Starts from ``S0``, or from the Hessian eigenspace at the trust centre,
+    and returns the best :class:`OptimizingTriple` found.  Each inner solve
+    after the first is exact and warm-started from the best pair.  A move
+    counts as progress only when it lowers the diameter by more than
+    1e-12 (1 + d), d the initial diameter.  The rotation step starts at
+    ``rot_step0`` and the translation step at an eighth of the trust radius;
+    both halve after a sweep without progress, and the search stops once the
+    rotation step falls below ``rot_step_min``, or after 400 sweeps with the
+    triple flagged not ``converged``.  A diameter-0 result (empty or
+    degenerate slice) is returned as soon as it appears, since the objective
+    cannot drop further.  ``probe_nonunique`` re-solves each rotation plane
+    at a fixed probe angle after convergence and warns when a visibly
+    different subspace attains the same diameter.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     if not (1 <= m <= f.dim):
         raise ValueError(f"morse index must satisfy 1 <= m <= {f.dim}")
-    inner_kwargs = dict(inner_kwargs or {})
-    inner_kwargs.pop("warm_pair", None)
     n = f.dim
 
     if S0 is None:
@@ -99,25 +87,18 @@ def outer_min_subspace(
     if S.dim != m:
         raise ValueError("initial subspace dimension does not match the index")
 
-    best = inner_max_diameter(f, S, l, U, rng=rng, warm_pair=warm_pair, **inner_kwargs)
+    best = inner_max_diameter(f, S, l, U, rng=rng)
     if best.empty or best.diameter == 0.0:
         return best
 
-    # rotations must beat the inner solve's own accuracy to count as progress
-    inner_noise = inner_kwargs.get("polish_tol") or 0.0
-    ascent_noise = inner_kwargs.get("ascent_tol") or 0.0
-    imp_tol = max(
-        1e-12 * (1.0 + best.diameter),
-        2.0 * inner_noise,
-        10.0 * ascent_noise * (1.0 + best.diameter),
-    )
+    imp_tol = 1e-12 * (1.0 + best.diameter)
     step = rot_step0
-    trans_step = U.radius / 8.0 if trans_step0 is None else float(trans_step0)
+    trans_step = U.radius / 8.0
     sweeps = 0
     converged = True
     while step >= rot_step_min:
         sweeps += 1
-        if sweeps > max_sweeps:
+        if sweeps > 400:
             converged = False
             break
         base = best.midpoint
@@ -129,10 +110,7 @@ def outer_min_subspace(
                 for sign in (1.0, -1.0):
                     vr, cr = _rotated(v, comp, i, j, sign * step)
                     s_try = AffineSubspace(base, Frame(vr))
-                    trial = inner_max_diameter(
-                        f, s_try, l, U,
-                        rng=rng, warm_pair=(best.x, best.y), **inner_kwargs,
-                    )
+                    trial = inner_max_diameter(f, s_try, l, U, rng=rng, warm_pair=(best.x, best.y))
                     if trial.empty or trial.diameter == 0.0:
                         return trial
                     if trial.diameter < best.diameter - imp_tol:
@@ -145,10 +123,7 @@ def outer_min_subspace(
                 shifted = base + sign * trans_step * comp[:, j]
                 try:
                     s_try = AffineSubspace(shifted, Frame(v))
-                    trial = inner_max_diameter(
-                        f, s_try, l, U,
-                        rng=rng, warm_pair=(best.x, best.y), **inner_kwargs,
-                    )
+                    trial = inner_max_diameter(f, s_try, l, U, rng=rng, warm_pair=(best.x, best.y))
                 except ValueError:  # shifted subspace misses the region
                     continue
                 if trial.empty or trial.diameter == 0.0:
@@ -162,19 +137,13 @@ def outer_min_subspace(
             trans_step *= 0.5
 
     if probe_nonunique and best.diameter > 1e-9:
-        _probe_subspace_uniqueness(f, l, U, m, best, rng, inner_kwargs)
+        _probe_subspace_uniqueness(f, l, U, m, best, rng)
     if not converged and best.converged:
-        best = _replace_converged(best, False)
+        best = replace(best, converged=False)
     return best
 
 
-def _replace_converged(triple, flag):
-    from dataclasses import replace
-
-    return replace(triple, converged=flag)
-
-
-def _probe_subspace_uniqueness(f, l, U, m, best, rng, inner_kwargs, probe_angle=0.05):
+def _probe_subspace_uniqueness(f, l, U, m, best, rng, probe_angle=0.05):
     n = f.dim
     base = best.midpoint
     v = best.subspace.frame.columns
@@ -184,10 +153,7 @@ def _probe_subspace_uniqueness(f, l, U, m, best, rng, inner_kwargs, probe_angle=
             vr, _ = _rotated(v, comp, i, j, probe_angle)
             s_try = AffineSubspace(base, Frame(vr))
             try:
-                trial = inner_max_diameter(
-                    f, s_try, l, U,
-                    rng=rng, warm_pair=(best.x, best.y), **inner_kwargs,
-                )
+                trial = inner_max_diameter(f, s_try, l, U, rng=rng, warm_pair=(best.x, best.y))
             except ValueError:
                 continue
             if not trial.empty and abs(trial.diameter - best.diameter) <= 1e-6 * (
@@ -200,28 +166,3 @@ def _probe_subspace_uniqueness(f, l, U, m, best, rng, inner_kwargs, probe_angle=
                     stacklevel=3,
                 )
                 return
-
-
-@dataclass(frozen=True)
-class LevelFeasibility:
-    """Outcome of testing one level: empty (diameter ~ 0) or not."""
-
-    is_empty: bool
-    diameter: float
-    triple: OptimizingTriple
-
-
-def level_feasibility(f, l, U, m, empty_tol=1e-9, **outer_kwargs):
-    """Classify a level by the minimized slice diameter.
-
-    ``Empty`` (diameter <= empty_tol) means no subspace keeps a wide slice
-    at this level: the level sits at or above the critical value inside U.
-    A positive diameter certifies the level lies below it.
-    """
-    outer_kwargs.setdefault("probe_nonunique", False)
-    triple = outer_min_subspace(f, l, U, m, **outer_kwargs)
-    return LevelFeasibility(
-        is_empty=triple.diameter <= empty_tol,
-        diameter=triple.diameter,
-        triple=triple,
-    )

@@ -103,6 +103,54 @@ class TestDefaultBracket:
         assert a == b
 
 
+def classify(f, lvl, m):
+    """One bisection step on a bracket centred at ``lvl``, radius-2 ball.
+
+    Returns the bracket after the step and the recorded diameter of the
+    outer search at the midpoint level.
+    """
+    region = ball(f.dim, 2.0)
+    (lo, hi), _, trace = bisection_solve(f, region, m, lvl - 1.0, lvl + 1.0, max_iter=1)
+    assert len(trace) == 1
+    return lo, hi, trace[0].diameter
+
+
+class TestLevelClassification:
+    """A nonempty minimized slice raises the lower end; an empty one lowers the upper."""
+
+    def test_above_local_max(self):
+        # no superlevel point anywhere in the region
+        f = make_diagonal_quadratic([1.0, -1.0])
+        lo, hi, diam = classify(f, 10.0, 1)
+        assert (lo, hi) == (9.0, 10.0)
+        assert diam <= 1e-9
+
+    def test_below_critical_value(self):
+        f = make_diagonal_quadratic([1.0, -1.0])
+        lo, hi, diam = classify(f, -1.0, 1)
+        assert (lo, hi) == (-1.0, 0.0)
+        assert diam == pytest.approx(2.0, abs=1e-9)
+
+    def test_slightly_below_critical(self):
+        f = make_diagonal_quadratic([1.0, -1.0])
+        lvl = -1e-4
+        lo, hi, diam = classify(f, lvl, 1)
+        assert lo == pytest.approx(lvl, abs=1e-15)
+        assert hi == lvl + 1.0
+        assert diam == pytest.approx(2.0 * np.sqrt(-lvl), abs=1e-8)
+
+    def test_above_critical_is_empty(self):
+        f = make_diagonal_quadratic([1.0, -1.0])
+        lo, hi, diam = classify(f, 0.5, 1)
+        assert (lo, hi) == (-0.5, 0.5)
+        assert diam <= 1e-9
+
+    def test_monotone_in_level(self):
+        f = make_diagonal_quadratic([1.0, -1.0, -3.0])
+        diams = [classify(f, lvl, 2)[2] for lvl in (-1.0, -0.5, -0.1, -0.01)]
+        assert all(diams[i] >= diams[i + 1] - 1e-9 for i in range(len(diams) - 1))
+
+
 class TestStationarityDiagnostic:
     def test_converged_quadratic_run(self):
         f = make_diagonal_quadratic([1.0, -1.0])

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from saddlekit.cli import main
 from saddlekit.trace import SolverTrace
 
@@ -110,6 +112,45 @@ class TestSolveCommand:
         )
         assert abs(float(level)) <= 1e-12
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_negative_values_in_spaced_form(self, tmp_path):
+        # a value that starts with "-" and is not a plain decimal used to be
+        # read as an option ("expected one argument")
+        outs = []
+        for argv in (
+            ("--center", "-0.05,0.05", "--lower", "-1e0"),
+            ("--center=-0.05,0.05", "--lower=-1e0"),
+            ("--lower", "-1"),
+        ):
+            out = tmp_path / f"t{len(outs)}.csv"
+            code = run_cli(
+                "solve", "--problem", "quadratic-diag:1,-1", "--morse-index", "1",
+                "--algorithm", "bisection", *argv, "--upper", "1", "--max-iter", "6",
+                "--trace-out", str(out),
+            )
+            assert code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert outs[0] != outs[2]  # the centre was applied
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--bogus"),
+        ("solve", "--radius", "wide"),
+        ("solve", "--algorithm", "newton"),
+        ("solve", "--center"),
+        ("frobnicate",),
+    ])
+    def test_usage_errors_exit_as_config_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("solve", "--help")
+        assert exc.value.code == 0
+        assert "--center" in capsys.readouterr().out
 
     def test_unwritable_trace_is_a_config_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "t.csv"

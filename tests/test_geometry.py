@@ -99,6 +99,38 @@ class TestInnerMaxDiameter:
         t = inner_max_diameter(f, s, -1.0, ball(2, 2.0), warm_pair=warm)
         assert t.diameter == pytest.approx(2.0, abs=1e-9)
 
+    def test_unpullable_warm_pair_falls_back_to_cold_solve(self):
+        # f = 1 - (|x|^2 - 1)^2 >= 0.5 is an annulus of outer radius
+        # sqrt(1 + sqrt(0.5)): every diameter of the outer circle is a widest
+        # pair.  The gradient vanishes at the origin, so a warm pair there
+        # cannot be pulled onto the level and the slice is solved cold,
+        # still without the non-uniqueness check of a cold call.
+        f = ObjectiveFunction(
+            dim=2,
+            f=lambda x: 1.0 - (float(x @ x) - 1.0) ** 2,
+            grad=lambda x: -4.0 * (float(x @ x) - 1.0) * x,
+            hess=lambda x: -4.0 * (float(x @ x) - 1.0) * np.eye(2) - 8.0 * np.outer(x, x),
+        )
+        s = AffineSubspace(np.zeros(2), Frame(np.eye(2)))
+        expect = 2.0 * np.sqrt(1.0 + np.sqrt(0.5))
+        with pytest.warns(NonUniqueWarning):
+            cold = inner_max_diameter(f, s, 0.5, ball(2, 2.0), rng=np.random.default_rng(0))
+        assert cold.diameter == pytest.approx(expect, abs=1e-9)
+        assert cold.non_unique
+        origin = (np.zeros(2), np.zeros(2))
+        for forcing in (None, 0.3):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", NonUniqueWarning)
+                warm = inner_max_diameter(
+                    f, s, 0.5, ball(2, 2.0),
+                    rng=np.random.default_rng(0), warm_pair=origin, forcing=forcing,
+                )
+            assert warm.diameter == pytest.approx(expect, abs=1e-9)
+            assert not warm.non_unique and not warm.empty
+            if forcing is None:
+                # same seeds and rng stream: the exact retry is the cold solve
+                assert warm.diameter == cold.diameter
+
     def test_swap_invariance(self):
         f = make_diagonal_quadratic([1.0, -1.0])
         s = axis_subspace(2, [1])

@@ -7,7 +7,6 @@ from saddlekit.linalg import (
     Frame,
     complete_frame,
     orthonormalize,
-    pseudoinverse,
     qr_decompose,
     sym_eigen,
     unit,
@@ -133,28 +132,6 @@ class TestCompleteFrame:
         full = complete_frame(v)
         g = full.columns.T @ full.columns
         assert np.max(np.abs(g - np.eye(3))) <= 1e-12
-
-
-class TestPseudoinverse:
-    def test_identity(self):
-        npt.assert_allclose(pseudoinverse(np.eye(3)), np.eye(3), atol=1e-14)
-
-    def test_column(self):
-        # (M'M)^-1 M' = (3,4)/25
-        p = pseudoinverse(np.array([[3.0], [4.0]]))
-        npt.assert_allclose(p, np.array([[0.12, 0.16]]), atol=1e-14)
-
-    def test_zero_matrix(self):
-        p = pseudoinverse(np.zeros((2, 3)))
-        assert p.shape == (3, 2)
-        npt.assert_array_equal(p, np.zeros((3, 2)))
-
-    def test_moore_penrose_identities(self, rng):
-        for _ in range(20):
-            m = rng.standard_normal((int(rng.integers(1, 6)), int(rng.integers(1, 6))))
-            p = pseudoinverse(m)
-            assert np.linalg.norm(m @ p @ m - m) <= 1e-9 * max(1.0, np.linalg.norm(m))
-            assert np.linalg.norm(p @ m @ p - p) <= 1e-9 * max(1.0, np.linalg.norm(p))
 
 
 class TestFrame:

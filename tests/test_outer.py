@@ -8,7 +8,7 @@ from saddlekit.errors import NonUniqueWarning
 from saddlekit.geometry import AffineSubspace, quadratic_minmax_exact
 from saddlekit.linalg import Frame
 from saddlekit.objectives import ObjectiveFunction, make_diagonal_quadratic
-from saddlekit.outer import SubspaceIterate, level_feasibility, outer_min_subspace
+from saddlekit.outer import outer_min_subspace
 
 
 def conjugated(f, q):
@@ -78,45 +78,3 @@ class TestOuterMinSubspace:
         f = make_diagonal_quadratic([1.0, -1.0])
         with pytest.raises(ValueError):
             outer_min_subspace(f, -1.0, ball(2, 2.0), 3)
-
-    def test_subspace_iterate_objective(self):
-        f = make_diagonal_quadratic([1.0, -1.0])
-        t = outer_min_subspace(f, -1.0, ball(2, 2.0), 1, probe_nonunique=False)
-        it = SubspaceIterate(subspace=t.subspace, triple=t)
-        assert it.objective == t.diameter
-        assert it.objective >= 0.0
-
-
-class TestLevelFeasibility:
-    def test_above_local_max(self):
-        # no superlevel point anywhere in the region
-        f = make_diagonal_quadratic([1.0, -1.0])
-        out = level_feasibility(f, 10.0, ball(2, 2.0), 1)
-        assert out.is_empty
-
-    def test_below_critical_value(self):
-        f = make_diagonal_quadratic([1.0, -1.0])
-        out = level_feasibility(f, -1.0, ball(2, 2.0), 1)
-        assert not out.is_empty
-        assert out.diameter == pytest.approx(2.0, abs=1e-9)
-
-    def test_slightly_below_critical(self):
-        f = make_diagonal_quadratic([1.0, -1.0])
-        lvl = -1e-4
-        out = level_feasibility(f, lvl, ball(2, 2.0), 1)
-        assert not out.is_empty
-        assert out.diameter == pytest.approx(2.0 * np.sqrt(-lvl), abs=1e-8)
-
-    def test_above_critical_is_empty(self):
-        f = make_diagonal_quadratic([1.0, -1.0])
-        out = level_feasibility(f, 0.5, ball(2, 2.0), 1)
-        assert out.is_empty
-
-    def test_monotone_in_level(self):
-        f = make_diagonal_quadratic([1.0, -1.0, -3.0])
-        region = ball(3, 2.0)
-        diams = [
-            level_feasibility(f, lvl, region, 2).diameter
-            for lvl in (-1.0, -0.5, -0.1, -0.01)
-        ]
-        assert all(diams[i] >= diams[i + 1] - 1e-9 for i in range(len(diams) - 1))
