@@ -599,60 +599,39 @@ def _widest_pair(f, S, l, U, rng, warm_pair, feas_scale, forcing, detect_nonuniq
     )
 
 
-def closest_point_on_slice(
-    f, z, l, S, radius=None, rng=None, hint_directions=None, feas_scale=None
-):
+def closest_point_on_slice(f, z, l, S, radius=None, feas_scale=None):
     """Closest point to ``z`` on S ∩ {f <= l}.
 
-    ``z`` must lie on S.  Seeds descend along the most negative curvature
-    directions of the restricted Hessian (plus the ±``hint_directions``
-    projected onto S and two random rays), locate a level crossing by
-    sampling and bisection, then polish the closest-point stationarity
-    system by Newton.  Raises :class:`SliceEmpty` when no sublevel point is
-    found within ``radius`` (default 10 (1 + |z|)).  The level slack is
-    1e-12 times ``feas_scale`` (default 1 + |l|).
+    ``z`` must lie on S.  The restriction to S is solved on the ball of
+    ``radius`` around ``z`` (default 10 (1 + |z|)).  Seeds are the first
+    level crossings, found by sampling and bisection, along both signs of
+    every eigenvector of negative curvature of the restricted Hessian at
+    ``z``; when none of these rays crosses the level, a trust-region descent
+    from ``z`` supplies the one seed.  Each seed is polished by Newton on the
+    closest-point stationarity system, and the nearest survivor is returned.
+    No random numbers are drawn.  Raises :class:`SliceEmpty` when no
+    sublevel point is found.  The level slack is 1e-12 times ``feas_scale``
+    (default 1 + |l|).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     z = np.asarray(z, dtype=float)
     if not S.contains(z, tol=1e-8):
         raise ValueError("query point does not lie on the subspace")
     if radius is None:
         radius = 10.0 * (1.0 + float(np.linalg.norm(z)))
-    v = S.frame.columns
-    wz = S.to_local(z)
+    sp = _SliceProblem(f, S, TrustRegion(z, radius))
+    psi, gpsi, hpsi, wz = sp.phi, sp.gphi, sp.hphi, sp.wc
     scale = (1.0 + abs(l)) if feas_scale is None else max(float(feas_scale), 1e-300)
     feas_tol = 1e-12 * scale
-
-    def psi(w):
-        return f.value(S.from_local(w))
-
-    def gpsi(w):
-        return v.T @ f.gradient(S.from_local(w))
-
-    def hpsi(w):
-        return v.T @ f.hessian(S.from_local(w)) @ v
 
     if psi(wz) <= l + feas_tol:
         return z.copy()
 
     k = S.dim
-    dirs = []
+    # a positive-curvature ray starts uphill, and the descent below covers
+    # the case where no negative-curvature ray crosses; both signs, since
+    # higher-order terms decide which crossing is nearer
     evals, evecs = np.linalg.eigh(hpsi(wz))
-    for idx in range(k):  # ascending: most negative curvature first
-        u = evecs[:, idx]
-        dirs.extend([u, -u])
-    if hint_directions is not None:
-        for h in hint_directions:
-            hl = v.T @ np.asarray(h, dtype=float)
-            nh = np.linalg.norm(hl)
-            if nh > 1e-12:
-                dirs.extend([hl / nh, -hl / nh])
-    for _ in range(2):
-        u = rng.standard_normal(k)
-        nu = np.linalg.norm(u)
-        if nu > 0:
-            dirs.append(u / nu)
+    dirs = [s * evecs[:, i] for i in range(k) if evals[i] < 0.0 for s in (1.0, -1.0)]
 
     def crossing_on_ray(u):
         ts = np.geomspace(1e-6 * (1.0 + radius), radius, 40)
@@ -672,29 +651,24 @@ def closest_point_on_slice(
             prev = t
         return None
 
-    seeds = []
-    for u in dirs:
-        w = crossing_on_ray(u)
-        if w is not None:
-            seeds.append(w)
+    seeds = [w for w in map(crossing_on_ray, dirs) if w is not None]
     if not seeds:
         res = trust_region_minimize(
-            psi, gpsi, hpsi, wz, wz, radius, stop_below=l - feas_tol, max_iter=150
+            psi, gpsi, hpsi, wz, wz, sp.rloc, stop_below=l - feas_tol, max_iter=150
         )
-        if res.value <= l + feas_tol:
-            seg = res.w - wz
-            lo, hi = 0.0, 1.0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if psi(wz + mid * seg) <= l + feas_tol:
-                    hi = mid
-                else:
-                    lo = mid
-            seeds.append(wz + hi * seg)
-        else:
+        if res.value > l + feas_tol:
             raise SliceEmpty(
                 f"no point with f <= {l} found on the subspace within radius {radius}"
             )
+        seg = res.w - wz
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if psi(wz + mid * seg) <= l + feas_tol:
+                hi = mid
+            else:
+                lo = mid
+        seeds.append(wz + hi * seg)
 
     def polish(w):
         g = gpsi(w)

@@ -109,6 +109,9 @@ def _orthogonal_space_min(f, z, S, U):
     next subspace.
     """
     z = np.asarray(z, dtype=float)
+    if S.dim == f.dim:
+        # the orthogonal space is the point z itself
+        return f.value(z), z
     v = complete_frame(S.frame).columns[:, S.dim:]
     sp = _SliceProblem(f, AffineSubspace(z, Frame(v)), U)
     res = trust_region_minimize(sp.phi, sp.gphi, sp.hphi, np.zeros(v.shape[1]), sp.wc, sp.rloc)
@@ -124,17 +127,18 @@ def _orthogonal_space_min(f, z, S, U):
     return value, sp.ambient(res.w)
 
 
-def estimate_negative_eigenspace(f, triple, l, m, radius=None, rng=None, prev_frame=None):
+def estimate_negative_eigenspace(f, triple, l, m, radius=None):
     """Negative-eigenspace estimate built from the widest pair.
 
-    Starts from the pair direction, then repeatedly finds the closest point
-    of the sublevel set on the orthogonal complement through the midpoint;
-    each such direction approximates the eigenvector of the next negative
-    eigenvalue (ordered by distance from zero).  ``prev_frame`` seeds the
-    closest-point searches with the previous iteration's estimate.
+    The first direction is the pair direction.  Each further one points from
+    the pair midpoint ``z`` to the closest point of {f <= l} on the affine
+    space through ``z`` orthogonal to the directions found so far
+    (:func:`closest_point_on_slice` on the ball of ``radius``); it
+    approximates the eigenvector of the next negative eigenvalue, ordered by
+    distance from zero.  A deterministic function of its arguments.  Raises
+    :class:`SliceEmpty` when a closest point is ``z`` itself or lies in the
+    span already found.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     if triple.empty or triple.diameter <= 0.0:
         raise ValueError("eigenspace estimation needs a converged pair with nonzero diameter")
     z = triple.midpoint
@@ -142,14 +146,7 @@ def estimate_negative_eigenspace(f, triple, l, m, radius=None, rng=None, prev_fr
     for _ in range(1, m):
         perp = complete_frame(Frame(cols)).columns[:, cols.shape[1]:]
         s_perp = AffineSubspace(z, Frame(perp))
-        hints = None
-        if prev_frame is not None:
-            hints = [prev_frame.columns[:, j] for j in range(prev_frame.frame_dim)]
-        p = closest_point_on_slice(
-            f, z, l, s_perp,
-            radius=radius, rng=rng, hint_directions=hints,
-            feas_scale=max(abs(l), 1e-300),
-        )
+        p = closest_point_on_slice(f, z, l, s_perp, radius=radius, feas_scale=max(abs(l), 1e-300))
         d = p - z
         dist = float(np.linalg.norm(d))
         d = d - cols @ (cols.T @ d)
@@ -197,7 +194,6 @@ def fast_local_solve(
     warm_pair = feas_scale = None
     l = float(l0)
     s_hint = S0 if S0 is not None else default_initial_subspace(f, U, m)
-    prev_est = None
     trace = SolverTrace(critical_value=critical_value)
     states = []
     prev_gap = None
@@ -211,9 +207,11 @@ def fast_local_solve(
             rng=rng, warm_pair=warm_pair, feas_scale=feas_scale, forcing=inner_forcing,
         )
         z = triple.midpoint
-        if triple.empty or triple.diameter <= 0.0:
-            # level has reached the critical value within resolution; the
-            # degenerate slice's anchor is the best point estimate
+        if triple.empty or triple.diameter <= 64.0 * np.finfo(float).eps * np.max(np.abs(z)):
+            # the slice is empty, or a few ulps of the midpoint's coordinates
+            # wide so that its pair carries no direction: the level has reached
+            # the critical value within resolution, and the midpoint (the
+            # degenerate slice's anchor) is the best point estimate
             converged = True
             break
         if naive_subspace:
@@ -224,16 +222,14 @@ def fast_local_solve(
             warm_pair = (triple.x, triple.y)
             feas_scale = max(0.25 * triple.diameter**2, 1e-300)
             try:
-                s_est = estimate_negative_eigenspace(
-                    f, triple, l, m, radius=2.0 * U.radius, rng=rng, prev_frame=prev_est
-                )
+                s_est = estimate_negative_eigenspace(f, triple, l, m, radius=2.0 * U.radius)
             except SliceEmpty:
-                if i > 0 and abs(l) <= 1e-12 * (1.0 + abs(l0)):
-                    # midpoint sits at the critical point to machine accuracy
+                if i > 0 and abs(f.value(z) - l) <= 1e-12 * max(abs(l), 1e-300):
+                    # the midpoint's own value is the level within the
+                    # closest-point slack: the level is the critical value
                     converged = True
                     break
                 raise
-        prev_est = s_est.frame
         l_next, z_min = _orthogonal_space_min(f, z, s_est, U)
         if l_next < l - 1e-9 * (1.0 + abs(l)):
             raise LowerBoundViolated(

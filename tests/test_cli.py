@@ -113,6 +113,19 @@ class TestSolveCommand:
         assert abs(float(level)) <= 1e-12
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_index_equal_to_dimension(self, capsys):
+        # m = n: a local maximum, whose orthogonal space is a single point
+        code = run_cli(
+            "solve", "--problem", "quadratic-diag:-1,-2", "--morse-index", "2",
+            "--algorithm", "fast-local", "--lower", "-1",
+        )
+        assert code == 0
+        level = next(
+            line.split()[-1] for line in capsys.readouterr().out.splitlines()
+            if line.startswith("level estimate")
+        )
+        assert abs(float(level)) <= 1e-12
+
     def test_negative_values_in_spaced_form(self, tmp_path):
         # a value that starts with "-" and is not a plain decimal used to be
         # read as an option ("expected one argument")

@@ -279,6 +279,41 @@ class TestClosestPoint:
         with pytest.raises(ValueError):
             closest_point_on_slice(f, np.array([1.0, 0.0]), -1.0, axis_subspace(2, [1]))
 
+    def test_cost_does_not_grow_with_positive_directions(self):
+        # only the one negative-curvature direction is searched: the n - 1
+        # positive directions add no value calls
+        calls = {}
+        for n in (4, 64):
+            base = make_diagonal_quadratic([1.0] * (n - 1) + [-2.0])
+            count = [0]
+
+            def value(x, base=base, count=count):
+                count[0] += 1
+                return base.f(x)
+
+            f = ObjectiveFunction(n, value, base.grad, base.hess)
+            p = closest_point_on_slice(f, np.zeros(n), -0.5, axis_subspace(n, range(n)), radius=4.0)
+            assert np.linalg.norm(p) == pytest.approx(0.5, abs=1e-9)
+            calls[n] = count[0]
+        assert calls[4] == calls[64]
+
+    @pytest.mark.parametrize("level", [-0.1, -0.01, -1e-4])
+    @pytest.mark.parametrize("c", [1.0, -1.0, 2.0, -2.0])
+    def test_nearer_crossing_wins(self, c, level):
+        # x1^2 - x2^2 - 3 x3^2 + c x3^3 on span(e1, e3): the cubic term makes
+        # the level crossing along -sign(c) e3 the nearer one
+        f = ObjectiveFunction(
+            3,
+            lambda x: x[0] ** 2 - x[1] ** 2 - 3.0 * x[2] ** 2 + c * x[2] ** 3,
+            lambda x: np.array([2.0 * x[0], -2.0 * x[1], -6.0 * x[2] + 3.0 * c * x[2] ** 2]),
+            lambda x: np.diag([2.0, -2.0, -6.0 + 6.0 * c * x[2]]),
+        )
+        p = closest_point_on_slice(f, np.zeros(3), level, axis_subspace(3, [0, 2]))
+        roots = np.roots([c, -3.0, 0.0, -level])
+        nearer = np.min(np.abs(roots[np.abs(roots.imag) < 1e-12].real))
+        assert np.linalg.norm(p) == pytest.approx(nearer, abs=1e-9)
+        assert np.sign(p[2]) == -np.sign(c)
+
 
 class TestOppositeGradientCertificate:
     def test_symmetric_pair_residual_zero(self):

@@ -269,19 +269,32 @@ class TestOffCentre:
         assert np.linalg.norm(f.gradient(res.point_estimate)) <= 1e-10
 
 
+class TestShiftedCriticalValue:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("c", [5.0, -3.0, 100.0])
+    @pytest.mark.parametrize("base", [
+        failure_3d_problem().objective,
+        make_perturbed_quadratic([1.0, 0.5, -1.0, -0.5], 0.05),
+    ], ids=["failure-3d", "perturbed"])
+    def test_converges_at_a_nonzero_critical_value(self, base, c, seed):
+        # f + c has its critical value at c: the level reaches c in floating
+        # point and the closest-point search returns the midpoint itself
+        f = ObjectiveFunction(
+            base.dim, lambda x: base.value(x) + c, base.gradient, base.hessian
+        )
+        res = fast_local_solve(
+            f, ball(base.dim, 1.0), 2, c - 0.3, tol=1e-12, rng=np.random.default_rng(seed)
+        )
+        assert res.converged
+        assert abs(res.value_estimate - c) <= 1e-12 * (1.0 + abs(c))
+
+
 class TestCoordinateInvariance:
     """The local method does not depend on the coordinates: for
     g(x) = f(Qx + c), with Q orthogonal and the trust region mapped along,
     the level and the point come out the same.  The trust centre sits up to
     0.1 off the saddle in a random direction."""
 
-    @pytest.mark.xfail(
-        raises=Unbounded,
-        strict=True,
-        reason="with the trust centre exactly on a saddle away from the origin "
-        "the loop solves a slice narrower than the coordinate resolution, and "
-        "its eigenspace estimate is rounding noise",
-    )
     @settings(max_examples=12, derandomize=True, database=None, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
