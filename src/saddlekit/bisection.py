@@ -38,10 +38,10 @@ class BisectionState:
         return self.upper - self.lower
 
 
-def default_bracket(f, U, rng=None, n_seeds=16):
+def default_bracket(f, U, rng=None):
     """Bracket from sampled values: min over seeds, max over seeds plus one.
 
-    Seeds are the trust center, axis points at half radius, and a few random
+    Seeds are the trust center, axis points at half radius, and 16 random
     interior points drawn from ``rng``.
     """
     if rng is None:
@@ -53,7 +53,7 @@ def default_bracket(f, U, rng=None, n_seeds=16):
         e[i] = 0.5 * U.radius
         pts.append(U.center + e)
         pts.append(U.center - e)
-    for _ in range(n_seeds):
+    for _ in range(16):
         u = rng.standard_normal(n)
         nu = np.linalg.norm(u)
         if nu > 0:
@@ -62,13 +62,13 @@ def default_bracket(f, U, rng=None, n_seeds=16):
     return float(min(vals)), float(max(vals)) + 1.0
 
 
-def bisection_solve(f, U, m, l0, u0, tol=0.0, max_iter=50, empty_tol=1e-9, rng=None):
+def bisection_solve(f, U, m, l0, u0, tol=0.0, max_iter=50, rng=None):
     """Bisect on the level until the bracket width drops below ``tol``.
 
     Each midpoint level is classified by :func:`outer_min_subspace` on the
     full rotation schedule, without the subspace-uniqueness probe, started
     from the subspace of the last level certified below the critical value.
-    A minimized diameter at most ``empty_tol`` moves the upper bound down;
+    A minimized diameter at most 1e-9 moves the upper bound down;
     a larger one raises the lower bound.  Returns
     ``((lower, upper), triple, trace)`` where the triple is the widest pair
     from the last level certified below the critical value (its midpoint is
@@ -90,7 +90,7 @@ def bisection_solve(f, U, m, l0, u0, tol=0.0, max_iter=50, empty_tol=1e-9, rng=N
         state.iter = i
         mid = 0.5 * (state.lower + state.upper)
         triple = outer_min_subspace(f, mid, U, m, S0=s_hint, rng=rng, probe_nonunique=False)
-        if triple.diameter <= empty_tol:
+        if triple.diameter <= 1e-9:
             state.upper = mid
         else:
             state.lower = mid

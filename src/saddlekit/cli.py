@@ -93,13 +93,8 @@ def _parse_point(text):
     return np.array([float(t) for t in text.replace(";", ",").split(",") if t.strip()])
 
 
-def _classify(trace, true_value=None):
-    if len(trace) >= 4:
-        try:
-            return measure_convergence_rate(trace, true_value=true_value)
-        except InsufficientData:
-            return None
-    return None
+def _classify(trace):
+    return measure_convergence_rate(trace) if len(trace) >= 4 else None
 
 
 def run(config):
@@ -130,9 +125,7 @@ def run(config):
 
     if config.algorithm in ("bisection", "both"):
         bracket, triple, btrace = bisection_solve(
-            f, region, m, lower, upper,
-            tol=config.tol if config.algorithm == "bisection" else 0.0,
-            max_iter=config.max_iter, rng=rng,
+            f, region, m, lower, upper, tol=config.tol, max_iter=config.max_iter, rng=rng
         )
         btrace.critical_value = problem.known_critical_value
         trace = btrace

@@ -167,16 +167,22 @@ class _SliceProblem:
         return self.wc + (self.rloc / nd) * d
 
 
-def _pull_to_level(sp, w, l, feas_tol, max_steps=80, v0=None):
+def _pull_to_level(sp, w, l, feas_tol, v=None):
     """Move ``w`` onto phi >= l via Newton steps along the gradient.
 
-    Stops early once 4 steps in a row fail to halve the best deficit seen:
-    near the critical value the slack can lie below what phi resolves, and
-    further steps only sample rounding noise.
+    ``v`` is phi(w) - l when the caller has it; otherwise ``w`` is tested
+    first as the seeding's ray bisection tests points, so that a seed on
+    the edge of the slack counts as feasible.  Stops after 80 steps, or
+    once 4 steps in a row fail to halve the best deficit seen: near the
+    critical value the slack can lie below what phi resolves.
     """
-    v = (sp.phi(w) - l) if v0 is None else v0
+    if v is None:
+        value = sp.phi(w)
+        if value >= l - feas_tol:
+            return w
+        v = value - l
     best, stalls = -v, 0
-    for _ in range(max_steps):
+    for _ in range(80):
         if v >= -feas_tol:
             return w
         g = sp.gphi(w)
@@ -190,6 +196,49 @@ def _pull_to_level(sp, w, l, feas_tol, max_steps=80, v0=None):
         if stalls >= 4:
             break
     return None if v < -feas_tol else w
+
+
+def _newton(system, x, tol):
+    """Newton's method on ``system(x) -> (residual, Jacobian thunk)`` from ``x``.
+
+    Stops once the best max-norm residual is at most ``tol``, after 3 steps
+    in a row that do not improve it, or after 40 steps; returns the best
+    iterate and its residual.  A singular Jacobian falls back to lstsq.
+    """
+    fvec, jac = system(x)
+    best_x, best_f = x, fvec
+    best_res = float(np.max(np.abs(fvec)))
+    worse = 0
+    for _ in range(40):
+        if best_res <= tol or worse >= 3:
+            break
+        a = jac()
+        try:
+            delta = np.linalg.solve(a, -fvec)
+        except np.linalg.LinAlgError:
+            delta = np.linalg.lstsq(a, -fvec, rcond=None)[0]
+        x = x + delta
+        fvec, jac = system(x)
+        res = float(np.max(np.abs(fvec)))
+        if res < best_res:
+            best_x, best_f, best_res, worse = x, fvec, res, 0
+        else:
+            worse += 1
+    return best_x, best_f
+
+
+def _bisect_crossing(inside, lo, hi):
+    """Shrink ``[lo, hi]`` around the crossing of ``inside`` (true at lo,
+    false at hi) to a width of 1e-13 (1 + hi), in at most 60 halvings."""
+    for _ in range(60):
+        if hi - lo <= 1e-13 * (1.0 + hi):
+            break
+        mid = 0.5 * (lo + hi)
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def _ray_span(sp, anchor, u):
@@ -223,15 +272,9 @@ def _farthest_feasible_on_ray(sp, l, anchor, u, feas_tol):
         return anchor.copy()
     if idx == ts.size - 1:
         return anchor + ts[idx] * u
-    lo, hi = ts[idx], ts[idx + 1]
-    for _ in range(60):
-        if hi - lo <= 1e-13 * (1.0 + hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if sp.phi(anchor + mid * u) >= l - feas_tol:
-            lo = mid
-        else:
-            hi = mid
+    lo, _ = _bisect_crossing(
+        lambda t: sp.phi(anchor + t * u) >= l - feas_tol, ts[idx], ts[idx + 1]
+    )
     return anchor + lo * u
 
 
@@ -246,7 +289,6 @@ def _find_feasible(sp, l, feas_tol, rng):
         nu = np.linalg.norm(u)
         if nu > 0.0:
             seeds.append(sp.clip(sp.wc + 0.5 * sp.rloc * u / nu))
-    best_w, best_v = None, -np.inf
     for w0 in seeds:
         res = trust_region_minimize(
             lambda w: -sp.phi(w),
@@ -258,12 +300,8 @@ def _find_feasible(sp, l, feas_tol, rng):
             stop_below=-(l - feas_tol),
             max_iter=80,
         )
-        if -res.value > best_v:
-            best_v, best_w = -res.value, res.w
-        if best_v >= l - feas_tol:
-            return best_w
-    if best_v >= l - feas_tol:
-        return best_w
+        if -res.value >= l - feas_tol:
+            return res.w
     return None
 
 
@@ -295,7 +333,7 @@ def _improve_point(sp, l, p, q, feas_tol, step, max_steps=50, max_backtracks=12)
             if v < -feas_tol:
                 # pulling back to the level boundary lands near the same spot
                 # for every overshooting step; only do it once
-                cand = _pull_to_level(sp, cand, l, feas_tol, v0=v) if bt == 0 else None
+                cand = _pull_to_level(sp, cand, l, feas_tol, v) if bt == 0 else None
             if cand is not None:
                 sep = float(np.linalg.norm(cand - q))
                 if sep > nd + 1e-16 * (1.0 + nd):
@@ -310,11 +348,11 @@ def _improve_point(sp, l, p, q, feas_tol, step, max_steps=50, max_backtracks=12)
     return p, step
 
 
-def _ascend_pair(sp, l, p, q, feas_tol, ascent_tol, max_sweeps=120):
+def _ascend_pair(sp, l, p, q, feas_tol, ascent_tol):
     sep = float(np.linalg.norm(p - q))
     step = 0.25 * sp.rloc
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(120):
         p, step_p = _improve_point(sp, l, p, q, feas_tol, step)
         q, step_q = _improve_point(sp, l, q, p, feas_tol, step)
         step = max(step_p, step_q)
@@ -327,7 +365,15 @@ def _ascend_pair(sp, l, p, q, feas_tol, ascent_tol, max_sweeps=120):
     return p, q, sep, converged
 
 
-def _polish_pair(sp, l, p, q, feas_tol, polish_tol, max_iter=40):
+def _multiplier(sp, w, anchor):
+    """Least-squares mu in (w - anchor) + mu grad phi(w) = 0; None where
+    the gradient vanishes."""
+    g = sp.gphi(w)
+    g2 = float(g @ g)
+    return None if g2 < 1e-300 else -float((w - anchor) @ g) / g2
+
+
+def _polish_pair(sp, l, p, q, polish_tol):
     """Newton refinement of the stationarity system for the widest pair.
 
     Both level constraints are taken active; skipped when either point is
@@ -339,67 +385,39 @@ def _polish_pair(sp, l, p, q, feas_tol, polish_tol, max_iter=40):
         if sp.rloc - float(np.linalg.norm(w - sp.wc)) <= ball_slack:
             return None
 
-    def mult(w, other):
-        g = sp.gphi(w)
-        g2 = float(g @ g)
-        if g2 < 1e-300:
-            return None
-        return -float((w - other) @ g) / g2
-
-    mu_p = mult(p, q)
-    mu_q = mult(q, p)
+    mu_p, mu_q = _multiplier(sp, p, q), _multiplier(sp, q, p)
     if mu_p is None or mu_q is None:
         return None
 
-    def residual(p, q, mu_p, mu_q):
+    def system(state):
+        p, q = state[:k], state[k : 2 * k]
+        mu_p, mu_q = state[2 * k], state[2 * k + 1]
         gp, gq = sp.gphi(p), sp.gphi(q)
-        return np.concatenate([
+        fvec = np.concatenate([
             (p - q) + mu_p * gp,
             (q - p) + mu_q * gq,
             [sp.phi(p) - l, sp.phi(q) - l],
         ])
 
-    state = np.concatenate([p, q, [mu_p, mu_q]])
-    best_state = state.copy()
-    fvec = residual(p, q, mu_p, mu_q)
-    best_res = float(np.max(np.abs(fvec)))
-    worse = 0
-    for _ in range(max_iter):
-        if best_res <= polish_tol:
-            break
-        p, q = state[:k], state[k : 2 * k]
-        mu_p, mu_q = state[2 * k], state[2 * k + 1]
-        gp, gq = sp.gphi(p), sp.gphi(q)
-        hp, hq = sp.hphi(p), sp.hphi(q)
-        jac = np.zeros((2 * k + 2, 2 * k + 2))
-        eye = np.eye(k)
-        jac[:k, :k] = eye + mu_p * hp
-        jac[:k, k : 2 * k] = -eye
-        jac[:k, 2 * k] = gp
-        jac[k : 2 * k, :k] = -eye
-        jac[k : 2 * k, k : 2 * k] = eye + mu_q * hq
-        jac[k : 2 * k, 2 * k + 1] = gq
-        jac[2 * k, :k] = gp
-        jac[2 * k + 1, k : 2 * k] = gq
-        fvec = residual(p, q, mu_p, mu_q)
-        try:
-            delta = np.linalg.solve(jac, -fvec)
-        except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(jac, -fvec, rcond=None)[0]
-        state = state + delta
-        fnew = residual(state[:k], state[k : 2 * k], state[2 * k], state[2 * k + 1])
-        res = float(np.max(np.abs(fnew)))
-        if res < best_res:
-            best_res = res
-            best_state = state.copy()
-            worse = 0
-        else:
-            worse += 1
-            if worse >= 3:
-                break
-    p, q = best_state[:k], best_state[k : 2 * k]
+        def jacobian():
+            jac = np.zeros((2 * k + 2, 2 * k + 2))
+            eye = np.eye(k)
+            jac[:k, :k] = eye + mu_p * sp.hphi(p)
+            jac[:k, k : 2 * k] = -eye
+            jac[:k, 2 * k] = gp
+            jac[k : 2 * k, :k] = -eye
+            jac[k : 2 * k, k : 2 * k] = eye + mu_q * sp.hphi(q)
+            jac[k : 2 * k, 2 * k + 1] = gq
+            jac[2 * k, :k] = gp
+            jac[2 * k + 1, k : 2 * k] = gq
+            return jac
+
+        return fvec, jacobian
+
+    state, fvec = _newton(system, np.concatenate([p, q, [mu_p, mu_q]]), polish_tol)
+    p, q = state[:k], state[k : 2 * k]
     # polished points must stay on the slice and inside the ball
-    if sp.phi(p) < l - 1e-8 * (1.0 + abs(l)) or sp.phi(q) < l - 1e-8 * (1.0 + abs(l)):
+    if min(fvec[2 * k], fvec[2 * k + 1]) < -1e-8 * (1.0 + abs(l)):
         return None
     if (
         float(np.linalg.norm(p - sp.wc)) > sp.rloc * (1.0 + 1e-9)
@@ -428,7 +446,7 @@ def _empty_triple(sp):
     )
 
 
-def inner_max_diameter(f, S, l, U, rng=None, warm_pair=None, feas_scale=None, forcing=None):
+def inner_max_diameter(f, S, l, U, rng=None, warm_pair=None, forcing=None):
     """Widest pair of points on the slice S ∩ {f >= l} ∩ U.
 
     Alternating two-point ascent: each point in turn is pushed away from the
@@ -439,34 +457,42 @@ def inner_max_diameter(f, S, l, U, rng=None, warm_pair=None, feas_scale=None, fo
     plus two random rays (2k+2 starts), an ascent run until a sweep gains
     less than 1e-11 (relative), and a Newton polish of the stationarity
     system down to a residual of 1e-13 (1 + |l|).  A number is the local
-    driver's inexact solve: one random ray, no polish, and after seeding the
-    slice radius rho is measured from the seed separation and the ascent is
-    stalled at a progress threshold of order (forcing * rho^2)^2, which
-    leaves a midpoint error of order forcing * rho^2, i.e. proportional to
-    the level gap still to climb.  Tolerances then track the slice rather
-    than any assumed critical value.
+    driver's solve.  A positive one is inexact: one random ray, no polish,
+    and after seeding the slice radius rho is measured from the seed
+    separation and the ascent is stalled at a progress threshold of order
+    (forcing * rho^2)^2, which leaves a midpoint error of order
+    forcing * rho^2, i.e. proportional to the level gap still to climb.
+    Tolerances then track the slice rather than any assumed critical value.
+    ``forcing=0`` seeds, ascends and polishes as the exact solve does.
 
     ``warm_pair`` restarts from a previous ambient pair and skips the
     seeding (used by the outer rotation search and, from one iteration to
     the next, by the local driver).  A warm pair that cannot be pulled onto
     the level is dropped and the slice solved cold.  Only a solve started
     cold checks the slice for several widest pairs (``non_unique``, with a
-    :class:`NonUniqueWarning`).  ``feas_scale`` overrides the scale of the
-    feasibility slack (default 1 + |l|).
+    :class:`NonUniqueWarning`).
+
+    The feasibility slack is 1e-12 times a scale: 1 + |l|, except in a warm
+    solve of the local driver (``forcing`` a number), whose scale is the
+    squared radius 0.25 |x - y|^2 of its warm pair (x, y), kept for the cold
+    retry.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    return _widest_pair(f, S, l, U, rng, warm_pair, feas_scale, forcing, warm_pair is None)
+    scale = 1.0 + abs(l)
+    if warm_pair is not None and forcing is not None:
+        d = float(np.linalg.norm(np.asarray(warm_pair[0]) - np.asarray(warm_pair[1])))
+        scale = max(0.25 * d * d, 1e-300)
+    return _widest_pair(f, S, l, U, rng, warm_pair, 1e-12 * scale, forcing, warm_pair is None)
 
 
-def _widest_pair(f, S, l, U, rng, warm_pair, feas_scale, forcing, detect_nonunique):
+def _widest_pair(f, S, l, U, rng, warm_pair, feas_tol, forcing, detect_nonunique):
     sp = _SliceProblem(f, S, U)
     k = S.dim
-    scale = (1.0 + abs(l)) if feas_scale is None else max(float(feas_scale), 1e-300)
-    feas_tol = 1e-12 * scale
+    initial_feas_tol = feas_tol
     ascent_tol = 1e-11
     polish_tol = 1e-13 * (1.0 + abs(l))
-    polish = forcing is None
+    polish = not forcing
 
     starts = []
     if warm_pair is not None:
@@ -491,20 +517,18 @@ def _widest_pair(f, S, l, U, rng, warm_pair, feas_scale, forcing, detect_nonuniq
             nu = np.linalg.norm(u)
             if nu > 0:
                 dirs.append(u / nu)
-        if not dirs:
-            dirs.append(np.eye(k)[:, 0])
         for u in dirs:
             p0 = _farthest_feasible_on_ray(sp, l, anchor, u, feas_tol)
             q0 = _farthest_feasible_on_ray(sp, l, anchor, -u, feas_tol)
             starts.append((p0, q0))
 
-    if forcing is not None:
+    if not polish:
         # measure the slice from the seeds, then re-derive the tolerances so
         # they track the actual gap instead of the level's absolute size
         seps = []
         for p0, q0 in starts:
-            p = p0 if sp.phi(p0) >= l - feas_tol else _pull_to_level(sp, p0, l, feas_tol)
-            q = q0 if sp.phi(q0) >= l - feas_tol else _pull_to_level(sp, q0, l, feas_tol)
+            p = _pull_to_level(sp, p0, l, feas_tol)
+            q = _pull_to_level(sp, q0, l, feas_tol)
             if p is not None and q is not None:
                 seps.append(float(np.linalg.norm(p - q)))
         if seps:
@@ -515,14 +539,14 @@ def _widest_pair(f, S, l, U, rng, warm_pair, feas_scale, forcing, detect_nonuniq
 
     results = []
     for p0, q0 in starts:
-        p = p0 if sp.phi(p0) >= l - feas_tol else _pull_to_level(sp, p0, l, feas_tol)
-        q = q0 if sp.phi(q0) >= l - feas_tol else _pull_to_level(sp, q0, l, feas_tol)
+        p = _pull_to_level(sp, p0, l, feas_tol)
+        q = _pull_to_level(sp, q0, l, feas_tol)
         if p is None or q is None:
             continue
         if warm_pair is not None and polish:
             # a warm pair is usually already stationary: polish first and only
             # fall back to the full ascent when a probe still finds progress
-            polished = _polish_pair(sp, l, p, q, feas_tol, polish_tol)
+            polished = _polish_pair(sp, l, p, q, polish_tol)
             if polished is not None:
                 pp, qq = polished
                 sep0 = float(np.linalg.norm(pp - qq))
@@ -540,7 +564,7 @@ def _widest_pair(f, S, l, U, rng, warm_pair, feas_scale, forcing, detect_nonuniq
                 p, q = p2, q2
         p, q, sep, converged = _ascend_pair(sp, l, p, q, feas_tol, ascent_tol)
         if polish:
-            polished = _polish_pair(sp, l, p, q, feas_tol, polish_tol)
+            polished = _polish_pair(sp, l, p, q, polish_tol)
             if polished is not None:
                 pp, qq = polished
                 new_sep = float(np.linalg.norm(pp - qq))
@@ -550,7 +574,7 @@ def _widest_pair(f, S, l, U, rng, warm_pair, feas_scale, forcing, detect_nonuniq
 
     if not results:
         if warm_pair is not None:
-            return _widest_pair(f, S, l, U, rng, None, feas_scale, forcing, False)
+            return _widest_pair(f, S, l, U, rng, None, initial_feas_tol, forcing, False)
         return _empty_triple(sp)
 
     best_sep = max(r[0] for r in results)
@@ -599,7 +623,7 @@ def _widest_pair(f, S, l, U, rng, warm_pair, feas_scale, forcing, detect_nonuniq
     )
 
 
-def closest_point_on_slice(f, z, l, S, radius=None, feas_scale=None):
+def closest_point_on_slice(f, z, l, S, radius=None):
     """Closest point to ``z`` on S ∩ {f <= l}.
 
     ``z`` must lie on S.  The restriction to S is solved on the ball of
@@ -610,8 +634,9 @@ def closest_point_on_slice(f, z, l, S, radius=None, feas_scale=None):
     from ``z`` supplies the one seed.  Each seed is polished by Newton on the
     closest-point stationarity system, and the nearest survivor is returned.
     No random numbers are drawn.  Raises :class:`SliceEmpty` when no
-    sublevel point is found.  The level slack is 1e-12 times ``feas_scale``
-    (default 1 + |l|).
+    sublevel point is found.  The level slack is 1e-12 max(|l|, 1e-300): it
+    tracks the level itself, which the local driver drives toward a
+    critical value of any size.
     """
     z = np.asarray(z, dtype=float)
     if not S.contains(z, tol=1e-8):
@@ -620,10 +645,12 @@ def closest_point_on_slice(f, z, l, S, radius=None, feas_scale=None):
         radius = 10.0 * (1.0 + float(np.linalg.norm(z)))
     sp = _SliceProblem(f, S, TrustRegion(z, radius))
     psi, gpsi, hpsi, wz = sp.phi, sp.gphi, sp.hphi, sp.wc
-    scale = (1.0 + abs(l)) if feas_scale is None else max(float(feas_scale), 1e-300)
-    feas_tol = 1e-12 * scale
+    feas_tol = 1e-12 * max(abs(l), 1e-300)
 
-    if psi(wz) <= l + feas_tol:
+    def above(w):
+        return psi(w) > l + feas_tol
+
+    if not above(wz):
         return z.copy()
 
     k = S.dim
@@ -634,19 +661,10 @@ def closest_point_on_slice(f, z, l, S, radius=None, feas_scale=None):
     dirs = [s * evecs[:, i] for i in range(k) if evals[i] < 0.0 for s in (1.0, -1.0)]
 
     def crossing_on_ray(u):
-        ts = np.geomspace(1e-6 * (1.0 + radius), radius, 40)
         prev = 0.0
-        for t in ts:
-            if psi(wz + t * u) <= l + feas_tol:
-                lo, hi = prev, t
-                for _ in range(60):
-                    if hi - lo <= 1e-13 * (1.0 + hi):
-                        break
-                    mid = 0.5 * (lo + hi)
-                    if psi(wz + mid * u) <= l + feas_tol:
-                        hi = mid
-                    else:
-                        lo = mid
+        for t in np.geomspace(1e-6 * (1.0 + radius), radius, 40):
+            if not above(wz + t * u):
+                _, hi = _bisect_crossing(lambda r: above(wz + r * u), prev, t)
                 return wz + hi * u
             prev = t
         return None
@@ -661,45 +679,28 @@ def closest_point_on_slice(f, z, l, S, radius=None, feas_scale=None):
                 f"no point with f <= {l} found on the subspace within radius {radius}"
             )
         seg = res.w - wz
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if psi(wz + mid * seg) <= l + feas_tol:
-                hi = mid
-            else:
-                lo = mid
+        _, hi = _bisect_crossing(lambda r: above(wz + r * seg), 0.0, 1.0)
         seeds.append(wz + hi * seg)
 
-    def polish(w):
+    def system(state):
+        w, mu = state[:k], state[k]
         g = gpsi(w)
-        g2 = float(g @ g)
-        if g2 < 1e-300:
-            return w
-        mu = -float((w - wz) @ g) / g2
-        state = np.concatenate([w, [mu]])
-        best = state.copy()
-        best_res = np.inf
-        for _ in range(40):
-            w_, mu_ = state[:k], state[k]
-            g = gpsi(w_)
-            fvec = np.concatenate([(w_ - wz) + mu_ * g, [psi(w_) - l]])
-            res = float(np.max(np.abs(fvec)))
-            if res < best_res:
-                best_res = res
-                best = state.copy()
-            if res <= feas_tol:
-                break
-            h = hpsi(w_)
+        fvec = np.concatenate([(w - wz) + mu * g, [psi(w) - l]])
+
+        def jacobian():
             jac = np.zeros((k + 1, k + 1))
-            jac[:k, :k] = np.eye(k) + mu_ * h
+            jac[:k, :k] = np.eye(k) + mu * hpsi(w)
             jac[:k, k] = g
             jac[k, :k] = g
-            try:
-                delta = np.linalg.solve(jac, -fvec)
-            except np.linalg.LinAlgError:
-                delta = np.linalg.lstsq(jac, -fvec, rcond=None)[0]
-            state = state + delta
-        return best[:k]
+            return jac
+
+        return fvec, jacobian
+
+    def polish(w):
+        mu = _multiplier(sp, w, wz)
+        if mu is None:
+            return w
+        return _newton(system, np.concatenate([w, [mu]]), feas_tol)[0][:k]
 
     best_w = None
     best_d = np.inf

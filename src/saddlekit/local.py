@@ -146,7 +146,7 @@ def estimate_negative_eigenspace(f, triple, l, m, radius=None):
     for _ in range(1, m):
         perp = complete_frame(Frame(cols)).columns[:, cols.shape[1]:]
         s_perp = AffineSubspace(z, Frame(perp))
-        p = closest_point_on_slice(f, z, l, s_perp, radius=radius, feas_scale=max(abs(l), 1e-300))
+        p = closest_point_on_slice(f, z, l, s_perp, radius=radius)
         d = p - z
         dist = float(np.linalg.norm(d))
         d = d - cols @ (cols.T @ d)
@@ -190,8 +190,8 @@ def fast_local_solve(
     if S0 is not None and S0.dim != m:
         raise ValueError("initial subspace dimension does not match the index")
     # the naive path and forcing 0 solve exact subproblems (ascent and polish)
-    inner_forcing = forcing if forcing > 0.0 and not naive_subspace else None
-    warm_pair = feas_scale = None
+    inner_forcing = None if naive_subspace else forcing
+    warm_pair = None
     l = float(l0)
     s_hint = S0 if S0 is not None else default_initial_subspace(f, U, m)
     trace = SolverTrace(critical_value=critical_value)
@@ -203,8 +203,7 @@ def fast_local_solve(
     for i in range(max_iter):
         iterations = i + 1
         triple = inner_max_diameter(
-            f, s_hint, l, U,
-            rng=rng, warm_pair=warm_pair, feas_scale=feas_scale, forcing=inner_forcing,
+            f, s_hint, l, U, rng=rng, warm_pair=warm_pair, forcing=inner_forcing
         )
         z = triple.midpoint
         if triple.empty or triple.diameter <= 64.0 * np.finfo(float).eps * np.max(np.abs(z)):
@@ -217,10 +216,9 @@ def fast_local_solve(
         if naive_subspace:
             s_est = triple.subspace
         else:
-            # the next slice starts from this pair, with its feasibility
-            # slack scaled to this slice's squared radius
+            # the next slice starts from this pair, whose squared radius
+            # scales its feasibility slack
             warm_pair = (triple.x, triple.y)
-            feas_scale = max(0.25 * triple.diameter**2, 1e-300)
             try:
                 s_est = estimate_negative_eigenspace(f, triple, l, m, radius=2.0 * U.radius)
             except SliceEmpty:
@@ -335,16 +333,14 @@ def measure_convergence_rate(trace, true_value=None):
     and is dropped before the gaps are formed.  Requires at least four
     records.
     """
-    records = list(trace)
-    if len(records) < 4:
+    if len(trace) < 4:
         raise InsufficientData(
-            f"rate measurement needs at least 4 records, got {len(records)}"
+            f"rate measurement needs at least 4 records, got {len(trace)}"
         )
-    if all(r.u is not None for r in records):
-        gaps = [r.u - r.l for r in records]
-        ratios, label = classify_gaps(gaps)
+    if trace.has_brackets():
+        ratios, label = classify_gaps(trace.widths())
         return RateEstimate(ratios=ratios, classification=label, reference=float("nan"))
-    levels = np.array([r.l for r in records])
+    levels = trace.levels()
     if levels[-1] == levels[-2]:
         levels = levels[:-1]
     if true_value is None:

@@ -78,11 +78,13 @@ def trust_region_minimize(
     w0,
     ball_center,
     ball_radius,
-    gtol=1e-11,
     max_iter=200,
     stop_below=None,
 ):
     """Minimize inside the hard ball |w - ball_center| <= ball_radius.
+
+    Converges at a gradient norm (tangential on the ball boundary) of at
+    most 1e-11 (1 + |f(w0)|).
 
     ``stop_below``: optional early exit once the value drops below this
     threshold (used by feasibility probes that only need any point past a
@@ -111,11 +113,11 @@ def trust_region_minimize(
             if slope < -1e-10 * scale:
                 # wants to leave the ball and keeps descending
                 return MinimizeResult(w, fw, gn, "boundary", outward_slope=slope)
-            if np.linalg.norm(g_tan) <= gtol * scale:
+            if np.linalg.norm(g_tan) <= 1e-11 * scale:
                 return MinimizeResult(w, fw, gn, "converged")
         h = hessian(w)
         evmin = float(np.linalg.eigvalsh(h)[0])
-        if gn <= gtol * scale and evmin >= -1e-9 * scale and not on_boundary:
+        if gn <= 1e-11 * scale and evmin >= -1e-9 * scale and not on_boundary:
             return MinimizeResult(w, fw, gn, "converged")
         s, _interior = _subproblem(g, h, delta)
         cand, clipped = _clip_to_ball(w + s, center, ball_radius)

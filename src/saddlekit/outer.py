@@ -143,14 +143,14 @@ def outer_min_subspace(
     return best
 
 
-def _probe_subspace_uniqueness(f, l, U, m, best, rng, probe_angle=0.05):
+def _probe_subspace_uniqueness(f, l, U, m, best, rng):
     n = f.dim
     base = best.midpoint
     v = best.subspace.frame.columns
     comp = complete_frame(Frame(v)).columns[:, m:]
     for i in range(m):
         for j in range(n - m):
-            vr, _ = _rotated(v, comp, i, j, probe_angle)
+            vr, _ = _rotated(v, comp, i, j, 0.05)
             s_try = AffineSubspace(base, Frame(vr))
             try:
                 trial = inner_max_diameter(f, s_try, l, U, rng=rng, warm_pair=(best.x, best.y))

@@ -91,6 +91,19 @@ class TestSolveCommand:
         text = capsys.readouterr().out
         assert "bracket" in text and "level estimate" in text
 
+    def test_both_default_bracket_contains_critical_value(self, capsys):
+        # the bisection stops at --tol under "both" too, before levels so
+        # close to l* = 0 that their classification is unreliable
+        code = run_cli("solve", "--problem", "failure-3d", "--morse-index", "2")
+        assert code == 0
+        line = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("bracket ")
+        )
+        lo, hi = (float(v) for v in line.split(None, 1)[1].strip("[]").split(","))
+        assert lo <= 0.0 <= hi
+        assert hi - lo <= 1e-8
+
     def test_both_hands_off_centre_bracket_to_local(self, tmp_path, capsys):
         # bisection's subspace seeds the local method around a centre that
         # is off the saddle

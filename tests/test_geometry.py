@@ -297,6 +297,27 @@ class TestClosestPoint:
             calls[n] = count[0]
         assert calls[4] == calls[64]
 
+    def test_unresolvable_level_polish_stops_early(self):
+        # f = x1^2 - x2^2 floored to a 2^-20 grid, and the level sits 1e-9
+        # above a grid value: no point has a level residual below 1e-9, far
+        # above the 1e-12 |l| slack, so each Newton polish stops once 3 steps
+        # in a row fail to improve instead of running to its step cap
+        q = 2.0**-20
+        smooth = make_diagonal_quadratic([1.0, -1.0])
+        calls = [0]
+
+        def hess(x):
+            calls[0] += 1
+            return smooth.hess(x)
+
+        fn = ObjectiveFunction(2, lambda x: q * np.floor(smooth.f(x) / q), smooth.grad, hess)
+        l = -0.25 + 1e-9
+        p = closest_point_on_slice(fn, np.zeros(2), l, axis_subspace(2, [0, 1]), radius=2.0)
+        # the sublevel set starts where x2^2 - x1^2 exceeds 0.25 - q
+        assert np.linalg.norm(p) == pytest.approx(np.sqrt(0.25 - q), abs=1e-9)
+        assert fn.value(p) <= l
+        assert calls[0] <= 10
+
     @pytest.mark.parametrize("level", [-0.1, -0.01, -1e-4])
     @pytest.mark.parametrize("c", [1.0, -1.0, 2.0, -2.0])
     def test_nearer_crossing_wins(self, c, level):
