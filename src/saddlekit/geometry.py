@@ -7,7 +7,8 @@ affine subspace S inside a trust region U.  This module provides
   computed by alternating two-point ascent with multi-start seeding and a
   Newton polish of the active-set optimality system,
 * :func:`closest_point_on_slice` -- nearest point of a sublevel set on an
-  affine subspace,
+  affine subspace, a public utility that no driver calls (the local
+  driver's eigenspace estimate is a Rayleigh-Ritz step instead),
 * :func:`opposite_gradient_residual` -- the checkable first-order optimality
   certificate for a widest pair (anti-parallel gradients),
 * :func:`brute_force_diameter` -- a dense-grid oracle for cross-validation
@@ -198,14 +199,16 @@ def _pull_to_level(sp, w, l, feas_tol, v=None):
     return None if v < -feas_tol else w
 
 
-def _newton(system, x, tol):
+def _newton(system, x, start, tol):
     """Newton's method on ``system(x) -> (residual, Jacobian thunk)`` from ``x``.
 
-    Stops once the best max-norm residual is at most ``tol``, after 3 steps
-    in a row that do not improve it, or after 40 steps; returns the best
-    iterate and its residual.  A singular Jacobian falls back to lstsq.
+    ``start`` is ``system(x)``, which the caller forms from the gradients it
+    already holds.  Stops once the best max-norm residual is at most
+    ``tol``, after 3 steps in a row that do not improve it, or after 40
+    steps; returns the best iterate and its residual.  A singular Jacobian
+    falls back to lstsq.
     """
-    fvec, jac = system(x)
+    fvec, jac = start
     best_x, best_f = x, fvec
     best_res = float(np.max(np.abs(fvec)))
     worse = 0
@@ -365,12 +368,10 @@ def _ascend_pair(sp, l, p, q, feas_tol, ascent_tol):
     return p, q, sep, converged
 
 
-def _multiplier(sp, w, anchor):
-    """Least-squares mu in (w - anchor) + mu grad phi(w) = 0; None where
-    the gradient vanishes."""
-    g = sp.gphi(w)
+def _multiplier(g, d):
+    """Least-squares mu in d + mu g = 0; None where the gradient g vanishes."""
     g2 = float(g @ g)
-    return None if g2 < 1e-300 else -float((w - anchor) @ g) / g2
+    return None if g2 < 1e-300 else -float(d @ g) / g2
 
 
 def _polish_pair(sp, l, p, q, polish_tol):
@@ -385,14 +386,15 @@ def _polish_pair(sp, l, p, q, polish_tol):
         if sp.rloc - float(np.linalg.norm(w - sp.wc)) <= ball_slack:
             return None
 
-    mu_p, mu_q = _multiplier(sp, p, q), _multiplier(sp, q, p)
+    gp, gq = sp.gphi(p), sp.gphi(q)
+    mu_p, mu_q = _multiplier(gp, p - q), _multiplier(gq, q - p)
     if mu_p is None or mu_q is None:
         return None
 
-    def system(state):
+    def system(state, grads=None):
         p, q = state[:k], state[k : 2 * k]
         mu_p, mu_q = state[2 * k], state[2 * k + 1]
-        gp, gq = sp.gphi(p), sp.gphi(q)
+        gp, gq = (sp.gphi(p), sp.gphi(q)) if grads is None else grads
         fvec = np.concatenate([
             (p - q) + mu_p * gp,
             (q - p) + mu_q * gq,
@@ -414,7 +416,8 @@ def _polish_pair(sp, l, p, q, polish_tol):
 
         return fvec, jacobian
 
-    state, fvec = _newton(system, np.concatenate([p, q, [mu_p, mu_q]]), polish_tol)
+    state = np.concatenate([p, q, [mu_p, mu_q]])
+    state, fvec = _newton(system, state, system(state, (gp, gq)), polish_tol)
     p, q = state[:k], state[k : 2 * k]
     # polished points must stay on the slice and inside the ball
     if min(fvec[2 * k], fvec[2 * k + 1]) < -1e-8 * (1.0 + abs(l)):
@@ -635,8 +638,7 @@ def closest_point_on_slice(f, z, l, S, radius=None):
     closest-point stationarity system, and the nearest survivor is returned.
     No random numbers are drawn.  Raises :class:`SliceEmpty` when no
     sublevel point is found.  The level slack is 1e-12 max(|l|, 1e-300): it
-    tracks the level itself, which the local driver drives toward a
-    critical value of any size.
+    tracks the level itself, whatever its size.
     """
     z = np.asarray(z, dtype=float)
     if not S.contains(z, tol=1e-8):
@@ -682,9 +684,9 @@ def closest_point_on_slice(f, z, l, S, radius=None):
         _, hi = _bisect_crossing(lambda r: above(wz + r * seg), 0.0, 1.0)
         seeds.append(wz + hi * seg)
 
-    def system(state):
+    def system(state, g=None):
         w, mu = state[:k], state[k]
-        g = gpsi(w)
+        g = gpsi(w) if g is None else g
         fvec = np.concatenate([(w - wz) + mu * g, [psi(w) - l]])
 
         def jacobian():
@@ -697,10 +699,12 @@ def closest_point_on_slice(f, z, l, S, radius=None):
         return fvec, jacobian
 
     def polish(w):
-        mu = _multiplier(sp, w, wz)
+        g = gpsi(w)
+        mu = _multiplier(g, w - wz)
         if mu is None:
             return w
-        return _newton(system, np.concatenate([w, [mu]]), feas_tol)[0][:k]
+        state = np.concatenate([w, [mu]])
+        return _newton(system, state, system(state, g), feas_tol)[0][:k]
 
     best_w = None
     best_d = np.inf

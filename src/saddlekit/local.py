@@ -2,7 +2,8 @@
 
 Each iteration solves the slice problem at the current lower bound l_i on
 one subspace, estimates the negative eigenspace through the midpoint of the
-widest pair, and raises the bound to the minimum of the objective on the
+widest pair (the pair direction plus one Rayleigh-Ritz step on the Hessian
+there), and raises the bound to the minimum of the objective on the
 orthogonal affine space.  The next iteration's subspace is the eigenspace
 estimate rebased at that minimiser ``z + V w*``: the base point itself
 corrects any offset in the positive directions, so no rotation or
@@ -32,7 +33,9 @@ from .errors import (
     SliceEmpty,
     Unbounded,
 )
-from .geometry import AffineSubspace, _SliceProblem, closest_point_on_slice, inner_max_diameter
+from .geometry import AffineSubspace, _SliceProblem, inner_max_diameter
+# unused here, but perfbench's span table patches closest_point_on_slice by this name
+from .geometry import closest_point_on_slice  # noqa: F401
 from .linalg import Frame, complete_frame, unit
 from .newton import trust_region_minimize
 # unused here, but perfbench's span table patches outer_min_subspace by this name
@@ -127,36 +130,29 @@ def _orthogonal_space_min(f, z, S, U):
     return value, sp.ambient(res.w)
 
 
-def estimate_negative_eigenspace(f, triple, l, m, radius=None):
+def estimate_negative_eigenspace(f, triple, m):
     """Negative-eigenspace estimate built from the widest pair.
 
-    The first direction is the pair direction.  Each further one points from
-    the pair midpoint ``z`` to the closest point of {f <= l} on the affine
-    space through ``z`` orthogonal to the directions found so far
-    (:func:`closest_point_on_slice` on the ball of ``radius``); it
-    approximates the eigenvector of the next negative eigenvalue, ordered by
-    distance from zero.  A deterministic function of its arguments.  Raises
-    :class:`SliceEmpty` when a closest point is ``z`` itself or lies in the
-    span already found.
+    The first direction is the pair direction ``unit(x - y)``.  The other
+    ``m - 1`` come from one Rayleigh-Ritz step at the pair midpoint ``z``:
+    the eigenvectors of the ``m - 1`` smallest eigenvalues of the Hessian
+    restricted to the complement of the pair direction.  Index 1 evaluates
+    no Hessian.  A deterministic function of its arguments.  Raises
+    :class:`SliceEmpty` when fewer than ``m - 1`` of those eigenvalues are
+    negative.
     """
     if triple.empty or triple.diameter <= 0.0:
         raise ValueError("eigenspace estimation needs a converged pair with nonzero diameter")
     z = triple.midpoint
-    cols = unit(triple.x - triple.y)[:, None]
-    for _ in range(1, m):
-        perp = complete_frame(Frame(cols)).columns[:, cols.shape[1]:]
-        s_perp = AffineSubspace(z, Frame(perp))
-        p = closest_point_on_slice(f, z, l, s_perp, radius=radius)
-        d = p - z
-        dist = float(np.linalg.norm(d))
-        d = d - cols @ (cols.T @ d)
-        nd = float(np.linalg.norm(d))
-        if dist == 0.0 or nd < 1e-8 * dist:
-            raise SliceEmpty("closest sublevel point is degenerate with the current span")
-        cols = np.hstack([cols, (d / nd)[:, None]])
-    if cols.shape[1] != m:  # pragma: no cover - loop construction guarantees this
-        raise RuntimeError("eigenspace estimate has wrong dimension")
-    return AffineSubspace(z, Frame(cols))
+    pair = unit(triple.x - triple.y)[:, None]
+    if m == 1:
+        return AffineSubspace(z, Frame(pair))
+    perp = complete_frame(Frame(pair)).columns[:, 1:]
+    h = f.hessian(z)
+    evals, evecs = np.linalg.eigh(perp.T @ (0.5 * (h + h.T)) @ perp)
+    if evals[m - 2] >= 0.0:
+        raise SliceEmpty("too few negative curvature directions off the pair direction")
+    return AffineSubspace(z, Frame(np.hstack([pair, perp @ evecs[:, : m - 1]])))
 
 
 def fast_local_solve(
@@ -219,15 +215,7 @@ def fast_local_solve(
             # the next slice starts from this pair, whose squared radius
             # scales its feasibility slack
             warm_pair = (triple.x, triple.y)
-            try:
-                s_est = estimate_negative_eigenspace(f, triple, l, m, radius=2.0 * U.radius)
-            except SliceEmpty:
-                if i > 0 and abs(f.value(z) - l) <= 1e-12 * max(abs(l), 1e-300):
-                    # the midpoint's own value is the level within the
-                    # closest-point slack: the level is the critical value
-                    converged = True
-                    break
-                raise
+            s_est = estimate_negative_eigenspace(f, triple, m)
         l_next, z_min = _orthogonal_space_min(f, z, s_est, U)
         if l_next < l - 1e-9 * (1.0 + abs(l)):
             raise LowerBoundViolated(

@@ -104,6 +104,20 @@ class TestSolveCommand:
         assert lo <= 0.0 <= hi
         assert hi - lo <= 1e-8
 
+    def test_both_local_start_at_the_critical_value(self, capsys):
+        # the bisection's first midpoint is l* = 0 itself, so the local
+        # method starts at the critical value and must still converge
+        code = run_cli(
+            "solve", "--problem", "failure-3d", "--morse-index", "2",
+            "--algorithm", "both", "--lower", "-1", "--upper", "1", "--max-iter", "20",
+        )
+        assert code == 0
+        line = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("level estimate")
+        )
+        assert abs(float(line.split()[-1])) <= 1e-12
+
     def test_both_hands_off_centre_bracket_to_local(self, tmp_path, capsys):
         # bisection's subspace seeds the local method around a centre that
         # is off the saddle

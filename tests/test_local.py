@@ -122,14 +122,14 @@ class TestEigenspaceEstimation:
     def test_failure_3d_recovers_downhill_plane(self):
         f = failure_3d_problem().objective
         t = self._triple_on(f, [1, 2], -1.0, ball(3, 2.0), 3)
-        est = estimate_negative_eigenspace(f, t, -1.0, 2, radius=4.0)
+        est = estimate_negative_eigenspace(f, t, 2)
         angle = principal_angle(est.frame.columns, np.eye(3)[:, 1:])
         assert angle <= 1e-6
 
     def test_index_one_is_pair_direction(self):
         f = make_diagonal_quadratic([1.0, -1.0])
         t = self._triple_on(f, [1], -1.0, ball(2, 2.0), 2)
-        est = estimate_negative_eigenspace(f, t, -1.0, 1)
+        est = estimate_negative_eigenspace(f, t, 1)
         npt.assert_allclose(np.abs(est.frame.columns[:, 0]), [0.0, 1.0], atol=1e-9)
 
     def test_perturbation_trend(self):
@@ -140,7 +140,7 @@ class TestEigenspaceEstimation:
         for delta in (1e-2, 1e-3, 1e-4):
             h = make_perturbed_quadratic([1.0, -1.0, -3.0], delta)
             t = outer_min_subspace(h, -0.5, region, 2, probe_nonunique=False)
-            est = estimate_negative_eigenspace(h, t, -0.5, 2, radius=4.0)
+            est = estimate_negative_eigenspace(h, t, 2)
             angles.append(principal_angle(est.frame.columns, np.eye(3)[:, 1:]))
         assert angles[0] > angles[1] > angles[2]
 
@@ -151,7 +151,25 @@ class TestEigenspaceEstimation:
             subspace=s, x=np.zeros(2), y=np.zeros(2), diameter=0.0, empty=True
         )
         with pytest.raises(ValueError):
-            estimate_negative_eigenspace(f, degenerate, -1.0, 1)
+            estimate_negative_eigenspace(f, degenerate, 1)
+
+    def test_no_negative_curvature_off_the_pair_direction(self):
+        # the only negative direction is the pair's own: nothing is left
+        # for a second column
+        f = make_diagonal_quadratic([1.0, 1.0, -1.0])
+        t = self._triple_on(f, [2], -1.0, ball(3, 2.0), 3)
+        with pytest.raises(SliceEmpty):
+            estimate_negative_eigenspace(f, t, 2)
+
+    def test_index_one_evaluates_no_hessian(self):
+        base = make_diagonal_quadratic([1.0, -1.0])
+
+        def hess(x):
+            raise AssertionError("hessian evaluated")
+
+        f = ObjectiveFunction(dim=2, f=base.f, grad=base.grad, hess=hess)
+        t = self._triple_on(base, [1], -1.0, ball(2, 2.0), 2)
+        estimate_negative_eigenspace(f, t, 1)
 
 
 class TestFastLocal:
@@ -268,6 +286,31 @@ class TestOffCentre:
         assert abs(res.value_estimate) <= 1e-12
         assert np.linalg.norm(f.gradient(res.point_estimate)) <= 1e-10
 
+    @pytest.mark.parametrize("delta", [0.05, 0.2])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_rotated_higher_index(self, m, seed, delta):
+        # a rotated objective and a centre 0.2 off the saddle at index >= 2:
+        # the eigenspace estimate must find the negative directions off the
+        # pair direction without leaving the basin
+        rng = np.random.default_rng(seed)
+        q_mat, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        u = rng.standard_normal(4)
+        h = make_perturbed_quadratic(
+            np.concatenate([np.linspace(0.5, 2.0, 4 - m), -np.linspace(1.0, 2.0, m)]), delta
+        )
+        f = ObjectiveFunction(
+            4,
+            lambda x: h.value(q_mat @ x),
+            lambda x: q_mat.T @ h.gradient(q_mat @ x),
+            lambda x: q_mat.T @ h.hessian(q_mat @ x) @ q_mat,
+        )
+        region = ball(0.2 * u / np.linalg.norm(u), 1.0)
+        res = fast_local_solve(f, region, m, -0.1, tol=1e-12, rng=np.random.default_rng(0))
+        assert res.converged
+        assert abs(res.value_estimate) <= 1e-12
+        assert np.linalg.norm(f.gradient(res.point_estimate)) <= 1e-10
+
 
 class TestShiftedCriticalValue:
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -278,7 +321,7 @@ class TestShiftedCriticalValue:
     ], ids=["failure-3d", "perturbed"])
     def test_converges_at_a_nonzero_critical_value(self, base, c, seed):
         # f + c has its critical value at c: the level reaches c in floating
-        # point and the closest-point search returns the midpoint itself
+        # point and stops rising, a gap that no tolerance tied to 0 would see
         f = ObjectiveFunction(
             base.dim, lambda x: base.value(x) + c, base.gradient, base.hessian
         )
