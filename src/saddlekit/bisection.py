@@ -1,10 +1,17 @@
 """Global bisection driver on the critical-value bracket.
 
-Each iteration probes the bracket midpoint with the outer min-max solver.
-A positive minimized slice diameter certifies the midpoint lies below the
-critical value (raise the lower bound); a vanishing diameter means no
-subspace keeps a wide slice, so the midpoint moves the upper bound down.
-The bracket width halves exactly once per iteration.
+Each iteration classifies the bracket midpoint as below or above the
+critical value.  Before the loop, a certified minimax bracket
+``[lb, ub]`` is computed once near the saddle (the orthogonal-space
+minimum and the slice maximum, alternated a few steps).  A midpoint above
+``ub`` is empty without any solve; one below ``lb`` is nonempty, and its
+slice on the certifying subspace is solved once for the trace.  Only a
+midpoint inside ``[lb, ub]``, or every midpoint when a certificate fails,
+runs the outer min-max search: a positive minimized slice diameter
+certifies the midpoint lies below the critical value (raise the lower
+bound); a vanishing diameter means no subspace keeps a wide slice, so the
+midpoint moves the upper bound down.  The bracket width halves exactly
+once per iteration.
 """
 
 from dataclasses import dataclass
@@ -13,8 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidBracket
-from .geometry import OptimizingTriple
-from .outer import outer_min_subspace
+from .geometry import OptimizingTriple, inner_max_diameter
+from .local import _certified_bracket
+from .outer import default_initial_subspace, outer_min_subspace
 from .trace import SolverTrace, TraceRecord
 
 __all__ = [
@@ -65,15 +73,22 @@ def default_bracket(f, U, rng=None):
 def bisection_solve(f, U, m, l0, u0, tol=0.0, max_iter=50, rng=None):
     """Bisect on the level until the bracket width drops below ``tol``.
 
-    Each midpoint level is classified by :func:`outer_min_subspace` on the
-    full rotation schedule, without the subspace-uniqueness probe, started
-    from the subspace of the last level certified below the critical value.
-    A minimized diameter at most 1e-9 moves the upper bound down;
-    a larger one raises the lower bound.  Returns
-    ``((lower, upper), triple, trace)`` where the triple is the widest pair
-    from the last level certified below the critical value (its midpoint is
-    the critical-point candidate).  The final width satisfies
-    ``upper - lower <= max(tol, (u0 - l0) * 2**-max_iter)``.
+    Each midpoint level is classified by certificate first, then by search.
+    The certified bracket ``(lb, ub, S_cert)`` of the critical value is
+    computed once, starting from the Hessian eigenspace at the trust centre
+    (see :func:`saddlekit.local._certified_bracket`).  A midpoint above
+    ``ub`` is empty and records the empty triple of ``S_cert``.  A midpoint
+    below ``lb`` is nonempty and records the widest pair of its slice on
+    ``S_cert``, warm-started from the pair of the last such level.  Any
+    other midpoint, and every midpoint when no certificate holds, is
+    classified by :func:`outer_min_subspace` on the full rotation schedule,
+    without the subspace-uniqueness probe, started from the subspace of the
+    last level certified below the critical value: a minimized diameter at
+    most 1e-9 moves the upper bound down, a larger one raises the lower
+    bound.  Returns ``((lower, upper), triple, trace)`` where the triple is
+    the widest pair from the last level certified below the critical value
+    (its midpoint is the critical-point candidate).  The final width
+    satisfies ``upper - lower <= max(tol, (u0 - l0) * 2**-max_iter)``.
     """
     if not (l0 < u0):
         raise InvalidBracket(f"need l0 < u0, got [{l0}, {u0}]")
@@ -84,13 +99,30 @@ def bisection_solve(f, U, m, l0, u0, tol=0.0, max_iter=50, rng=None):
     trace = SolverTrace()
     s_hint = None
     last_nonempty = None
+    # a refused certificate settles no level
+    lb, ub, s_cert = _certified_bracket(f, U, m, default_initial_subspace(f, U, m)) or (
+        -np.inf, np.inf, None
+    )
+    warm_pair = None
     for i in range(max_iter):
         if tol > 0.0 and state.width <= tol:
             break
         state.iter = i
         mid = 0.5 * (state.lower + state.upper)
-        triple = outer_min_subspace(f, mid, U, m, S0=s_hint, rng=rng, probe_nonunique=False)
-        if triple.diameter <= 1e-9:
+        if mid > ub:
+            anchor = s_cert.project(U.center)
+            triple = OptimizingTriple(s_cert, anchor, anchor, 0.0, empty=True)
+            empty = True
+        elif mid < lb:
+            triple = inner_max_diameter(f, s_cert, mid, U, rng=rng, warm_pair=warm_pair)
+            warm_pair = (triple.x, triple.y)
+            empty = False
+        else:
+            triple = outer_min_subspace(
+                f, mid, U, m, S0=s_hint, rng=rng, probe_nonunique=False
+            )
+            empty = triple.diameter <= 1e-9
+        if empty:
             state.upper = mid
         else:
             state.lower = mid

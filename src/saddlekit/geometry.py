@@ -21,7 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadSignature, NonUniqueWarning, SliceEmpty, ZeroGradient
+from .errors import (
+    BadSignature,
+    DomainViolation,
+    NonFiniteValue,
+    NonUniqueWarning,
+    SliceEmpty,
+    ZeroGradient,
+)
 from .kernels import max_separation_pair
 from .linalg import Frame, orthonormalize
 from .newton import trust_region_minimize
@@ -378,7 +385,9 @@ def _polish_pair(sp, l, p, q, polish_tol):
     """Newton refinement of the stationarity system for the widest pair.
 
     Both level constraints are taken active; skipped when either point is
-    pinned to the ball boundary instead.  Returns the refined (p, q) or None.
+    pinned to the ball boundary instead.  Returns the refined (p, q), or None
+    when the polish fails, including when a Newton iterate leaves the
+    objective's domain or makes it non-finite.
     """
     k = p.size
     ball_slack = 1e-9 * sp.rloc
@@ -417,7 +426,11 @@ def _polish_pair(sp, l, p, q, polish_tol):
         return fvec, jacobian
 
     state = np.concatenate([p, q, [mu_p, mu_q]])
-    state, fvec = _newton(system, state, system(state, (gp, gq)), polish_tol)
+    try:
+        state, fvec = _newton(system, state, system(state, (gp, gq)), polish_tol)
+    except (DomainViolation, NonFiniteValue):
+        # a Newton iterate left the objective's domain; the ascent's pair stands
+        return None
     p, q = state[:k], state[k : 2 * k]
     # polished points must stay on the slice and inside the ball
     if min(fvec[2 * k], fvec[2 * k + 1]) < -1e-8 * (1.0 + abs(l)):

@@ -134,21 +134,29 @@ def complete_frame(frame):
     current frame and normalizing, moving to the next elementary vector
     whenever the projection residual norm falls below 1e-8.  Since the
     residuals of all n elementary vectors cannot simultaneously be small,
-    this always makes progress.
+    this always makes progress.  The columns are filled into one
+    preallocated (n, n) matrix.
     """
     v = frame.columns
     n, k = v.shape
     if k == n:
         return frame
-    work = v.copy()
-    new_cols = []
+    out = np.empty((n, n))
+    out[:, :k] = v
     for slot in range(k, n):
-        appended = False
+        work = out[:, :slot]
+        if slot < 4:
+            # BLAS takes a different kernel for the transposed product of a
+            # strided view this narrow; a contiguous copy keeps the columns
+            # bit-for-bit what they were when the basis was re-stacked for
+            # every new column
+            work = np.ascontiguousarray(work)
         for offset in range(n):
             idx = (slot + offset) % n
             e = np.zeros(n)
             e[idx] = 1.0
-            r = e - work @ (work.T @ e)
+            # work.T @ e is row idx of work, exactly
+            r = e - work @ work[idx]
             rn = np.linalg.norm(r)
             if rn < 1e-8:
                 continue
@@ -156,12 +164,8 @@ def complete_frame(frame):
             # second projection pass keeps orthogonality near round-off
             r -= work @ (work.T @ r)
             r /= np.linalg.norm(r)
-            work = np.hstack([work, r[:, None]])
-            new_cols.append(r)
-            appended = True
+            out[:, slot] = r
             break
-        if not appended:  # pragma: no cover - impossible for k < n
+        else:  # pragma: no cover - impossible for k < n
             raise RuntimeError("frame completion failed to make progress")
-    out = np.hstack([v] + [c[:, None] for c in new_cols])
     return Frame(out)
-

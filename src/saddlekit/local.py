@@ -104,30 +104,96 @@ def orthogonal_space_lower_bound(f, z, S, U):
     return _orthogonal_space_min(f, z, S, U)[0]
 
 
-def _orthogonal_space_min(f, z, S, U):
-    """Certified lower bound and minimiser ``z + V w*`` of the orthogonal space.
+def _restricted_min(f, T, U, sign=1.0):
+    """Minimise ``sign * f`` on T ∩ U by trust-region Newton from the base of T.
 
-    Same minimization as :func:`orthogonal_space_lower_bound`, which returns
-    only the bound; the local driver also needs the point, the base of its
-    next subspace.
+    Returns ``(bound, point, certified)``: the value at the final iterate,
+    lowered by ``|grad|^2 / (2 lambda_min)`` when the restricted Hessian of
+    ``sign * f`` is positive definite there; the iterate in ambient
+    coordinates; and whether the bound is certified, i.e. that Hessian is
+    positive definite and the minimiser converged inside the ball.  Raises
+    :class:`Unbounded` when the descent pins to the boundary of U with the
+    objective still falling outward.
     """
-    z = np.asarray(z, dtype=float)
-    if S.dim == f.dim:
-        # the orthogonal space is the point z itself
-        return f.value(z), z
-    v = complete_frame(S.frame).columns[:, S.dim:]
-    sp = _SliceProblem(f, AffineSubspace(z, Frame(v)), U)
-    res = trust_region_minimize(sp.phi, sp.gphi, sp.hphi, np.zeros(v.shape[1]), sp.wc, sp.rloc)
+    sp = _SliceProblem(f, T, U)
+    res = trust_region_minimize(
+        lambda w: sign * sp.phi(w),
+        lambda w: sign * sp.gphi(w),
+        lambda w: sign * sp.hphi(w),
+        np.zeros(T.dim),
+        sp.wc,
+        sp.rloc,
+    )
     if res.status == "boundary":
         raise Unbounded(
             "restricted objective keeps descending through the trust-region "
             f"boundary (outward slope {res.outward_slope:.3e})"
         )
-    value = float(res.value)
-    evmin = float(np.linalg.eigvalsh(sp.hphi(res.w))[0])
+    bound = float(res.value)
+    evmin = float(np.linalg.eigvalsh(sign * sp.hphi(res.w))[0])
     if evmin > 0.0:
-        value -= res.grad_norm**2 / (2.0 * evmin)
-    return value, sp.ambient(res.w)
+        bound -= res.grad_norm**2 / (2.0 * evmin)
+    interior = float(np.linalg.norm(res.w - sp.wc)) < sp.rloc * (1.0 - 1e-12)
+    certified = evmin > 0.0 and interior and res.status == "converged"
+    return bound, sp.ambient(res.w), certified
+
+
+def _orthogonal_space_min(f, z, S, U):
+    """Lower bound, minimiser ``z + V w*`` and certificate of the orthogonal space.
+
+    Same minimization as :func:`orthogonal_space_lower_bound`, which returns
+    only the bound; the local driver also needs the point, the base of its
+    next subspace, and :func:`_certified_bracket` the certificate flag of
+    :func:`_restricted_min`.
+    """
+    z = np.asarray(z, dtype=float)
+    if S.dim == f.dim:
+        # the orthogonal space is the point z itself
+        return f.value(z), z, True
+    v = complete_frame(S.frame).columns[:, S.dim:]
+    return _restricted_min(f, AffineSubspace(z, Frame(v)), U)
+
+
+def _certified_bracket(f, U, m, S):
+    """Certified bracket ``(lb, ub, S_cert)`` of the critical value, or None.
+
+    Where f is convex along the orthogonal space of an m-dimensional
+    subspace and concave along the subspace, the saddle-function minimax
+    (Rockafellar, *Convex Analysis*, 1970, Part VII) gives
+    ``min f on S-perp <= l* <= max f on S``.  Up to 3 alternating steps
+    from ``S`` tighten both sides: minimise f on the orthogonal space
+    through the base of S, maximise f on the translate ``S_cert`` of S
+    through that minimiser, and rebase S on the Hessian eigenspace of the
+    m smallest eigenvalues at the maximiser.  The alternation stops once
+    the two sides meet within the slack ``1e-12 (1 + |ub|)``, which widens
+    the returned bracket on both sides.  The bounds are corrected as in
+    :func:`orthogonal_space_lower_bound`: ``lb`` is the minimum less
+    ``|g|^2 / (2 lambda_min)``, ``ub`` the maximum plus
+    ``|g|^2 / (2 |lambda_max|)``.  A level above ``ub`` leaves the slice of
+    ``S_cert`` empty; below ``lb`` it leaves every slice nonempty.
+
+    Returns None when a certificate fails: an optimiser that stops on the
+    ball boundary or does not converge, a restricted Hessian that is not
+    positive definite (minimum) or negative definite (maximum), or an
+    :class:`Unbounded`, :class:`DomainViolation`, :class:`NonFiniteValue`
+    or ``LinAlgError`` on the way.
+    """
+    try:
+        for _ in range(3):
+            lb, z, min_ok = _orthogonal_space_min(f, S.base, S, U)
+            s_cert = AffineSubspace(z, S.frame)
+            neg_ub, y, max_ok = _restricted_min(f, s_cert, U, sign=-1.0)
+            if not (min_ok and max_ok):
+                return None
+            ub = -neg_ub
+            slack = 1e-12 * (1.0 + abs(ub))
+            if ub - lb <= slack:
+                break
+            h = f.hessian(y)
+            S = AffineSubspace.from_span(y, np.linalg.eigh(0.5 * (h + h.T))[1][:, :m])
+    except (Unbounded, DomainViolation, NonFiniteValue, np.linalg.LinAlgError):
+        return None
+    return lb - slack, ub + slack, s_cert
 
 
 def estimate_negative_eigenspace(f, triple, m):
@@ -216,7 +282,7 @@ def fast_local_solve(
             # scales its feasibility slack
             warm_pair = (triple.x, triple.y)
             s_est = estimate_negative_eigenspace(f, triple, m)
-        l_next, z_min = _orthogonal_space_min(f, z, s_est, U)
+        l_next, z_min, _ = _orthogonal_space_min(f, z, s_est, U)
         if l_next < l - 1e-9 * (1.0 + abs(l)):
             raise LowerBoundViolated(
                 f"level dropped from {l!r} to {l_next!r}; the iterate left the basin"

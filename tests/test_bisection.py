@@ -1,15 +1,57 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ball
+from saddlekit import bisection
 from saddlekit.bisection import (
     bisection_solve,
     default_bracket,
     stationarity_diagnostic,
 )
 from saddlekit.errors import InvalidBracket
-from saddlekit.objectives import ObjectiveFunction, make_diagonal_quadratic
+from saddlekit.local import _certified_bracket
+from saddlekit.objectives import (
+    ObjectiveFunction,
+    cubic_saddle_problem,
+    four_lines_function,
+    make_diagonal_quadratic,
+    make_quadratic,
+)
+from saddlekit.outer import default_initial_subspace, outer_min_subspace
 from saddlekit.trace import SolverTrace, TraceRecord
+
+
+def count_outer_calls(monkeypatch):
+    """Levels handed to the subspace search by ``bisection_solve``."""
+    levels = []
+
+    def counted(f, l, *args, **kwargs):
+        levels.append(l)
+        return outer_min_subspace(f, l, *args, **kwargs)
+
+    monkeypatch.setattr(bisection, "outer_min_subspace", counted)
+    return levels
+
+
+def certificate(f, U, m):
+    return _certified_bracket(f, U, m, default_initial_subspace(f, U, m))
+
+
+def rotated_quadratic(seed, n, m):
+    """0.5 (x - c)^T A (x - c) + v, A rotated with m negative eigenvalues.
+
+    Returns the objective, its saddle c and its critical value v.
+    """
+    rng = np.random.default_rng(seed)
+    lam = np.concatenate([-np.linspace(1.0, 2.0, m), np.linspace(0.5, 2.0, n - m)])
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q * lam) @ q.T
+    a = a + a.T  # symmetric, eigenvalues 2 lam
+    c = rng.uniform(-1.0, 1.0, n)
+    v = float(rng.uniform(-1.0, 1.0))
+    return make_quadratic(a, -a @ c, 0.5 * float(c @ a @ c) + v), c, v
 
 
 class TestBisectionSolve:
@@ -84,6 +126,105 @@ class TestBisectionSolve:
         (lo, hi), triple, _ = bisection_solve(f, ball(3, 2.0), 2, -1.0, 1.0, max_iter=20)
         assert lo <= 0.0 <= hi
         assert np.linalg.norm(f.gradient(triple.midpoint)) <= 1e-3
+
+
+class TestCertifiedBracket:
+    """Levels outside the certified bracket are settled without the search."""
+
+    @settings(max_examples=12, derandomize=True, database=None, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 6),
+        m_frac=st.floats(0.0, 1.0),
+        off=st.floats(0.0, 0.5),
+    )
+    def test_rotated_quadratics_settle_every_level(self, seed, n, m_frac, off):
+        m = min(1 + int(m_frac * (n - 1)), n - 1)
+        f, c, v = rotated_quadratic(seed, n, m)
+        u = np.random.default_rng(seed + 1).standard_normal(n)
+        region = ball(c + off * u / np.linalg.norm(u), 1.0)
+        cert = certificate(f, region, m)
+        assert cert is not None
+        lb, ub, s_cert = cert
+        assert lb <= v <= ub
+        assert s_cert.dim == m
+        with pytest.MonkeyPatch.context() as mp:
+            searched = count_outer_calls(mp)
+            # offsets off the dyadic grid keep every midpoint away from v
+            (lo, hi), _, _ = bisection_solve(
+                f, region, m, v - 0.8137, v + 1.2291, tol=1e-5, max_iter=30
+            )
+        assert lo <= v <= hi
+        assert hi - lo <= 1e-5
+        assert searched == []
+
+    @pytest.mark.parametrize(
+        "f,region,m,l0,u0,max_iter,expected",
+        [
+            (four_lines_function().objective, ball(3, 0.5), 2, -1.0, 1.3, 3,
+             (-0.425, -0.13749999999999998)),
+            (make_diagonal_quadratic([1.0, -1.0]), ball([0.0, 3.0], 1.0), 1, -20.0, 1.0, 6,
+             (-15.078125, -14.75)),
+            # no Hessian, and a zero finite-difference one
+            (ObjectiveFunction(dim=2, f=lambda x: 3.0, grad=lambda x: np.zeros(2)),
+             ball(2, 2.0), 1, 0.0, 1.0, 8, (0.99609375, 1.0)),
+        ],
+        ids=["four-lines", "saddle-outside-ball", "constant"],
+    )
+    def test_refused_certificate_falls_back_to_the_search(
+        self, f, region, m, l0, u0, max_iter, expected, monkeypatch
+    ):
+        # expected brackets are those of the search alone
+        assert certificate(f, region, m) is None
+        searched = count_outer_calls(monkeypatch)
+        bracket, _, trace = bisection_solve(f, region, m, l0, u0, max_iter=max_iter)
+        assert len(searched) == len(trace) == max_iter
+        assert bracket == expected
+
+    def test_off_centre_cubic_saddle(self, monkeypatch):
+        # the benchmark's cubic-saddle bracket with the centre moved off the
+        # saddle; the search alone finds empty chords along the boundary
+        # there and ends at [-0.964, -0.964], which misses l* = 0
+        f = cubic_saddle_problem().objective
+        searched = count_outer_calls(monkeypatch)
+        (lo, hi), triple, _ = bisection_solve(
+            f, ball(np.array([0.5, 0.5]) / np.sqrt(2.0), 1.0), 1,
+            -1.1023224268498633, 1.1096982286828247, tol=1e-6, max_iter=60,
+            rng=np.random.default_rng(888658063),
+        )
+        assert lo <= 0.0 <= hi
+        assert hi - lo <= 1e-6
+        assert searched == []
+        assert np.linalg.norm(f.gradient(triple.midpoint)) <= 1e-6
+
+    def test_classification_matches_the_search_level_by_level(self, monkeypatch):
+        f = make_diagonal_quadratic([1.0, -1.0, -3.0])
+        region = ball(3, 2.0)
+        searched = count_outer_calls(monkeypatch)
+        lo, hi = -0.9, 1.1
+        _, _, trace = bisection_solve(f, region, 2, lo, hi, max_iter=8)
+        assert searched == []
+        assert len(trace) == 8
+        for r in trace:
+            empty = r.u < hi
+            mid = r.u if empty else r.l
+            direct = outer_min_subspace(
+                f, mid, region, 2, rng=np.random.default_rng(0), probe_nonunique=False
+            )
+            assert (direct.diameter <= 1e-9) == empty
+            assert (r.diameter <= 1e-9) == empty
+            lo, hi = r.l, r.u
+
+    def test_polish_outside_the_domain_fails_the_polish_not_the_run(self):
+        # Newton iterates of the pair polish once walked to z = -41.9, where
+        # four-lines is undefined, and the DomainViolation ended the run
+        f = four_lines_function().objective
+        (lo, hi), _, trace = bisection_solve(
+            f, ball(3, 0.5), 1, -1.0, 1.3, tol=1e-6, max_iter=40
+        )
+        assert lo < hi
+        assert hi - lo <= 1e-6
+        assert len(trace) == 22
 
 
 class TestDefaultBracket:

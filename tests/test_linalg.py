@@ -125,6 +125,36 @@ class TestCompleteFrame:
             errs.append(np.max(np.abs(full.columns - np.eye(n))))
         assert errs[0] > errs[1] > errs[2]
 
+    def test_matches_the_column_stacking_reference_bit_for_bit(self, rng):
+        # traces depend on the completed columns, so filling a preallocated
+        # matrix must reproduce the arithmetic of re-stacking the basis
+        def stacked(v):
+            n, k = v.shape
+            work = v.copy()
+            for slot in range(k, n):
+                for offset in range(n):
+                    e = np.zeros(n)
+                    e[(slot + offset) % n] = 1.0
+                    r = e - work @ (work.T @ e)
+                    rn = np.linalg.norm(r)
+                    if rn < 1e-8:
+                        continue
+                    r /= rn
+                    r -= work @ (work.T @ r)
+                    r /= np.linalg.norm(r)
+                    work = np.hstack([work, r[:, None]])
+                    break
+            return work
+
+        for n in (2, 3, 5, 8, 17, 64):
+            for k in range(1, min(n, 4)):
+                for v in (
+                    orthonormalize(rng.standard_normal((n, k))).columns,
+                    np.eye(n)[:, n - k:],
+                ):
+                    full = complete_frame(Frame(v)).columns
+                    assert full.tobytes() == stacked(v).tobytes()
+
     def test_fallback_on_spanned_elementary(self):
         # frame already contains e1: the first candidate projects to zero and
         # the construction must move on to another elementary vector

@@ -97,7 +97,7 @@ class TestOrthogonalSpaceMin:
         region = ball(np.full(4, 0.05), 1.0)
         z = np.array([0.1, -0.2, 0.05, 0.3])
         s = span_subspace(z, [0.1, 0.0, 1.0, 0.2], [0.0, -0.1, 0.1, 1.0])
-        bound, point = _orthogonal_space_min(f, z, s, region)
+        bound, point, _ = _orthogonal_space_min(f, z, s, region)
         npt.assert_allclose(s.frame.columns.T @ (point - z), 0.0, atol=1e-14)
         assert region.contains(point)
         # away from z: the minimiser carries information the bound alone lacks
@@ -109,7 +109,7 @@ class TestOrthogonalSpaceMin:
         region = ball(4, 1.0)
         z = np.array([0.2, 0.1, 0.0, 0.0])
         s = axis_subspace(4, [2, 3], base=z)
-        bound, point = _orthogonal_space_min(f, z, s, region)
+        bound, point, _ = _orthogonal_space_min(f, z, s, region)
         assert bound == orthogonal_space_lower_bound(f, z, s, region)
         assert bound == pytest.approx(f.value(point), abs=1e-15)
 
@@ -417,7 +417,7 @@ class TestLoopStructure:
         res = fast_local_solve(f, region, 2, -0.3, tol=1e-12)
         assert len(res.states) >= 2
         for prev, state in zip(res.states, res.states[1:]):
-            _, point = _orthogonal_space_min(f, prev.midpoint, prev.eigen_subspace, region)
+            _, point, _ = _orthogonal_space_min(f, prev.midpoint, prev.eigen_subspace, region)
             assert state.triple.subspace.frame is prev.eigen_subspace.frame
             npt.assert_array_equal(state.triple.subspace.base, point)
 
