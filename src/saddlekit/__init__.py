@@ -50,7 +50,6 @@ from .local import (
     orthogonal_space_lower_bound,
 )
 from .objectives import (
-    ModelEnvelope,
     ObjectiveFunction,
     TestProblem,
     cubic_saddle_problem,

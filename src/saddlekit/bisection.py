@@ -82,13 +82,13 @@ def bisection_solve(f, U, m, l0, u0, tol=0.0, max_iter=50, rng=None):
     ``S_cert``, warm-started from the pair of the last such level.  Any
     other midpoint, and every midpoint when no certificate holds, is
     classified by :func:`outer_min_subspace` on the full rotation schedule,
-    without the subspace-uniqueness probe, started from the subspace of the
-    last level certified below the critical value: a minimized diameter at
-    most 1e-9 moves the upper bound down, a larger one raises the lower
-    bound.  Returns ``((lower, upper), triple, trace)`` where the triple is
-    the widest pair from the last level certified below the critical value
-    (its midpoint is the critical-point candidate).  The final width
-    satisfies ``upper - lower <= max(tol, (u0 - l0) * 2**-max_iter)``.
+    started from the subspace of the last level certified below the
+    critical value: a minimized diameter at most 1e-9 moves the upper bound
+    down, a larger one raises the lower bound.  Returns
+    ``((lower, upper), triple, trace)`` where the triple is the widest pair
+    from the last level certified below the critical value (its midpoint is
+    the critical-point candidate).  The final width satisfies
+    ``upper - lower <= max(tol, (u0 - l0) * 2**-max_iter)``.
     """
     if not (l0 < u0):
         raise InvalidBracket(f"need l0 < u0, got [{l0}, {u0}]")
@@ -118,9 +118,7 @@ def bisection_solve(f, U, m, l0, u0, tol=0.0, max_iter=50, rng=None):
             warm_pair = (triple.x, triple.y)
             empty = False
         else:
-            triple = outer_min_subspace(
-                f, mid, U, m, S0=s_hint, rng=rng, probe_nonunique=False
-            )
+            triple = outer_min_subspace(f, mid, U, m, S0=s_hint, rng=rng)
             empty = triple.diameter <= 1e-9
         if empty:
             state.upper = mid

@@ -70,4 +70,4 @@ class InsufficientData(SaddleKitError):
 
 
 class NonUniqueWarning(UserWarning):
-    """The diameter-realizing pair (or minimizing subspace) is not unique."""
+    """The diameter-realizing pair of a slice is not unique."""

@@ -38,8 +38,9 @@ from .geometry import AffineSubspace, _SliceProblem, inner_max_diameter
 from .geometry import closest_point_on_slice  # noqa: F401
 from .linalg import Frame, complete_frame, unit
 from .newton import trust_region_minimize
+from .outer import default_initial_subspace, hessian_eigenspace
 # unused here, but perfbench's span table patches outer_min_subspace by this name
-from .outer import default_initial_subspace, outer_min_subspace  # noqa: F401
+from .outer import outer_min_subspace  # noqa: F401
 from .trace import SolverTrace, TraceRecord
 
 __all__ = [
@@ -109,7 +110,8 @@ def _restricted_min(f, T, U, sign=1.0):
 
     Returns ``(bound, point, certified)``: the value at the final iterate,
     lowered by ``|grad|^2 / (2 lambda_min)`` when the restricted Hessian of
-    ``sign * f`` is positive definite there; the iterate in ambient
+    ``sign * f`` is positive definite there (``lambda_min`` is the
+    minimiser's reported ``min_curvature``); the iterate in ambient
     coordinates; and whether the bound is certified, i.e. that Hessian is
     positive definite and the minimiser converged inside the ball.  Raises
     :class:`Unbounded` when the descent pins to the boundary of U with the
@@ -130,7 +132,7 @@ def _restricted_min(f, T, U, sign=1.0):
             f"boundary (outward slope {res.outward_slope:.3e})"
         )
     bound = float(res.value)
-    evmin = float(np.linalg.eigvalsh(sign * sp.hphi(res.w))[0])
+    evmin = res.min_curvature
     if evmin > 0.0:
         bound -= res.grad_norm**2 / (2.0 * evmin)
     interior = float(np.linalg.norm(res.w - sp.wc)) < sp.rloc * (1.0 - 1e-12)
@@ -189,8 +191,7 @@ def _certified_bracket(f, U, m, S):
             slack = 1e-12 * (1.0 + abs(ub))
             if ub - lb <= slack:
                 break
-            h = f.hessian(y)
-            S = AffineSubspace.from_span(y, np.linalg.eigh(0.5 * (h + h.T))[1][:, :m])
+            S = hessian_eigenspace(f, y, m)
     except (Unbounded, DomainViolation, NonFiniteValue, np.linalg.LinAlgError):
         return None
     return lb - slack, ub + slack, s_cert

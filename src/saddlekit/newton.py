@@ -13,9 +13,11 @@ import numpy as np
 __all__ = ["trust_region_minimize", "MinimizeResult"]
 
 
-def _subproblem(g, h, delta):
-    """argmin g.s + 1/2 s.H.s subject to |s| <= delta (exact, dense)."""
-    w, q = np.linalg.eigh(h)
+def _subproblem(g, w, q, delta):
+    """argmin g.s + 1/2 s.H.s subject to |s| <= delta (exact, dense).
+
+    ``w, q`` is the eigendecomposition of H (ascending eigenvalues).
+    """
     gq = q.T @ g
     if w[0] > 0.0:
         s = -(gq / w)
@@ -69,6 +71,7 @@ class MinimizeResult:
     grad_norm: float
     status: str  # "converged" | "boundary" | "max_iter"
     outward_slope: float = 0.0  # descent rate through the ball boundary
+    min_curvature: float = float("nan")  # smallest Hessian eigenvalue at w
 
 
 def trust_region_minimize(
@@ -93,6 +96,13 @@ def trust_region_minimize(
     The result status is "boundary" when the iterate is pinned to the ball
     with the objective still descending outward; the caller decides whether
     that constitutes an unbounded restriction.
+
+    Each iterate's Hessian is decomposed once, for both the convergence test
+    and the step.  ``min_curvature`` is the smallest Hessian eigenvalue at
+    the returned ``w``.  The tangential-boundary and ``max_iter`` exits
+    evaluate that Hessian anew, except in a ``stop_below`` run, which looks
+    for a point and reads no curvature; there it is nan, as on the
+    ``stop_below`` and "boundary" exits.
     """
     w = np.asarray(w0, dtype=float).copy()
     center = np.asarray(ball_center, dtype=float)
@@ -100,6 +110,12 @@ def trust_region_minimize(
     fw = value(w)
     delta = 0.25 * ball_radius
     scale = 1.0 + abs(fw)
+
+    def curvature_at(w):
+        if stop_below is not None:
+            return float("nan")
+        return float(np.linalg.eigvalsh(hessian(w))[0])
+
     for _ in range(max_iter):
         if stop_below is not None and fw < stop_below:
             return MinimizeResult(w, fw, np.linalg.norm(gradient(w)), "converged")
@@ -114,12 +130,13 @@ def trust_region_minimize(
                 # wants to leave the ball and keeps descending
                 return MinimizeResult(w, fw, gn, "boundary", outward_slope=slope)
             if np.linalg.norm(g_tan) <= 1e-11 * scale:
-                return MinimizeResult(w, fw, gn, "converged")
+                return MinimizeResult(w, fw, gn, "converged", min_curvature=curvature_at(w))
         h = hessian(w)
-        evmin = float(np.linalg.eigvalsh(h)[0])
+        evals, evecs = np.linalg.eigh(h)
+        evmin = float(evals[0])
         if gn <= 1e-11 * scale and evmin >= -1e-9 * scale and not on_boundary:
-            return MinimizeResult(w, fw, gn, "converged")
-        s, _interior = _subproblem(g, h, delta)
+            return MinimizeResult(w, fw, gn, "converged", min_curvature=evmin)
+        s, _interior = _subproblem(g, evals, evecs, delta)
         cand, clipped = _clip_to_ball(w + s, center, ball_radius)
         step = cand - w
         pred = -(float(g @ step) + 0.5 * float(step @ h @ step))
@@ -136,7 +153,8 @@ def trust_region_minimize(
         else:
             delta *= 0.25
             if delta < 1e-16 * ball_radius:
+                # the step was rejected, so h is still the Hessian at w
                 g = gradient(w)
-                return MinimizeResult(w, fw, np.linalg.norm(g), "converged")
+                return MinimizeResult(w, fw, np.linalg.norm(g), "converged", min_curvature=evmin)
     g = gradient(w)
-    return MinimizeResult(w, fw, np.linalg.norm(g), "max_iter")
+    return MinimizeResult(w, fw, np.linalg.norm(g), "max_iter", min_curvature=curvature_at(w))

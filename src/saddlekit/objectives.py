@@ -20,12 +20,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BadSignature, DomainViolation, NonFiniteValue
+from .errors import DomainViolation, NonFiniteValue
 
 __all__ = [
     "ObjectiveFunction",
     "TestProblem",
-    "ModelEnvelope",
     "fd_gradient",
     "fd_hessian",
     "make_quadratic",
@@ -208,43 +207,6 @@ def make_perturbed_quadratic(coeffs, delta):
         return h
 
     return ObjectiveFunction(dim=n, f=f, grad=grad, hess=hess)
-
-
-@dataclass(frozen=True)
-class ModelEnvelope:
-    """Diagonal quadratic model with a delta-envelope.
-
-    ``a`` holds the diagonal of an invertible matrix with strictly
-    descending entries, exactly ``morse_index`` of them negative.  The
-    envelope brackets any function h with |h(x) - 1/2 x^T A x| <= delta/2 |x|^2:
-
-        h_min(x) = 1/2 x^T (A - delta I) x <= h(x) <= h_max(x).
-    """
-
-    a: np.ndarray
-    delta: float
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        object.__setattr__(self, "a", a)
-        if np.any(a == 0.0):
-            raise BadSignature("diagonal must be invertible")
-        if np.any(np.diff(a) >= 0.0):
-            raise BadSignature("diagonal entries must be strictly descending")
-        if self.delta < 0.0:
-            raise ValueError("delta must be nonnegative")
-
-    @property
-    def morse_index(self):
-        return int(np.sum(self.a < 0.0))
-
-    def h_min(self, x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * float(x @ ((self.a - self.delta) * x))
-
-    def h_max(self, x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * float(x @ ((self.a + self.delta) * x))
 
 
 @dataclass(frozen=True)

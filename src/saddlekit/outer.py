@@ -13,28 +13,30 @@ smallest eigenvalues of the Hessian at the trust-region center (the last m
 coordinate axes when the Hessian is unavailable).
 """
 
-import warnings
 from dataclasses import replace
 
 import numpy as np
 
-from .errors import NonFiniteValue, NonUniqueWarning
+from .errors import NonFiniteValue
 from .geometry import AffineSubspace, inner_max_diameter
 from .linalg import Frame, complete_frame
 
 __all__ = ["outer_min_subspace"]
 
 
+def hessian_eigenspace(f, x, m):
+    """Subspace through x spanned by the Hessian eigenvectors of the m smallest eigenvalues."""
+    h = f.hessian(x)
+    # ascending order: the first m columns belong to the m smallest eigenvalues
+    return AffineSubspace.from_span(x, np.linalg.eigh(0.5 * (h + h.T))[1][:, :m])
+
+
 def default_initial_subspace(f, U, m):
     """Negative-eigenspace estimate of the Hessian at the trust center."""
-    n = f.dim
     try:
-        h = f.hessian(U.center)
-        evals, evecs = np.linalg.eigh(0.5 * (h + h.T))
-        cols = evecs[:, :m]  # ascending order: m smallest eigenvalues
+        return hessian_eigenspace(f, U.center, m)
     except (NonFiniteValue, np.linalg.LinAlgError):
-        cols = np.eye(n)[:, n - m:]
-    return AffineSubspace.from_span(U.center, cols)
+        return AffineSubspace.from_span(U.center, np.eye(f.dim)[:, f.dim - m:])
 
 
 def _rotated(v, comp, i, j, theta):
@@ -56,7 +58,6 @@ def outer_min_subspace(
     rng=None,
     rot_step0=np.pi / 16.0,
     rot_step_min=1e-7,
-    probe_nonunique=True,
 ):
     """Locally minimal slice diameter over subspace rotations and shifts.
 
@@ -70,9 +71,7 @@ def outer_min_subspace(
     rotation step falls below ``rot_step_min``, or after 400 sweeps with the
     triple flagged not ``converged``.  A diameter-0 result (empty or
     degenerate slice) is returned as soon as it appears, since the objective
-    cannot drop further.  ``probe_nonunique`` re-solves each rotation plane
-    at a fixed probe angle after convergence and warns when a visibly
-    different subspace attains the same diameter.
+    cannot drop further.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -136,33 +135,7 @@ def outer_min_subspace(
             step *= 0.5
             trans_step *= 0.5
 
-    if probe_nonunique and best.diameter > 1e-9:
-        _probe_subspace_uniqueness(f, l, U, m, best, rng)
     if not converged and best.converged:
         best = replace(best, converged=False)
     return best
 
-
-def _probe_subspace_uniqueness(f, l, U, m, best, rng):
-    n = f.dim
-    base = best.midpoint
-    v = best.subspace.frame.columns
-    comp = complete_frame(Frame(v)).columns[:, m:]
-    for i in range(m):
-        for j in range(n - m):
-            vr, _ = _rotated(v, comp, i, j, 0.05)
-            s_try = AffineSubspace(base, Frame(vr))
-            try:
-                trial = inner_max_diameter(f, s_try, l, U, rng=rng, warm_pair=(best.x, best.y))
-            except ValueError:
-                continue
-            if not trial.empty and abs(trial.diameter - best.diameter) <= 1e-6 * (
-                1.0 + best.diameter
-            ):
-                warnings.warn(
-                    "minimizing subspace appears non-unique: a rotated subspace "
-                    "attains the same slice diameter",
-                    NonUniqueWarning,
-                    stacklevel=3,
-                )
-                return

@@ -63,8 +63,7 @@ def quadratic_sweep():
         lvl = float(rng.uniform(-2.0, -0.1))
         f = make_diagonal_quadratic(a)
         triple = outer_min_subspace(
-            f, lvl, ball(n, 4.0), m,
-            probe_nonunique=False, rng=np.random.default_rng(1000 + trial),
+            f, lvl, ball(n, 4.0), m, rng=np.random.default_rng(1000 + trial),
         )
         expected = 2.0 * np.sqrt(lvl / a[n - m])
         runs.append((a, n, m, lvl, triple, expected))

@@ -208,9 +208,7 @@ class TestCertifiedBracket:
         for r in trace:
             empty = r.u < hi
             mid = r.u if empty else r.l
-            direct = outer_min_subspace(
-                f, mid, region, 2, rng=np.random.default_rng(0), probe_nonunique=False
-            )
+            direct = outer_min_subspace(f, mid, region, 2, rng=np.random.default_rng(0))
             assert (direct.diameter <= 1e-9) == empty
             assert (r.diameter <= 1e-9) == empty
             lo, hi = r.l, r.u

@@ -90,6 +90,26 @@ class TestOrthogonalSpaceLowerBound:
         assert val >= bound
         assert abs(val) <= 10.0 * float(z @ z)
 
+    @pytest.mark.parametrize(
+        "base, z, iterates",
+        [
+            (make_diagonal_quadratic([1.0, 1.0, -1.0]), [0.0, 0.0, 0.0], 1),
+            (make_perturbed_quadratic([1.0, 0.5, -1.0], 0.05), [0.1, -0.2, 0.0], 3),
+        ],
+    )
+    def test_one_hessian_per_iterate(self, base, z, iterates):
+        # the certified bound reads the curvature of the last iterate's
+        # decomposition instead of evaluating the final Hessian again
+        calls = []
+
+        def hess(x):
+            calls.append(x)
+            return base.hess(x)
+
+        f = ObjectiveFunction(dim=3, f=base.f, grad=base.grad, hess=hess)
+        orthogonal_space_lower_bound(f, np.array(z), axis_subspace(3, [2]), ball(3, 1.0))
+        assert len(calls) == iterates
+
 
 class TestOrthogonalSpaceMin:
     def test_minimiser_lies_on_the_orthogonal_space_in_the_region(self):
@@ -139,7 +159,7 @@ class TestEigenspaceEstimation:
         angles = []
         for delta in (1e-2, 1e-3, 1e-4):
             h = make_perturbed_quadratic([1.0, -1.0, -3.0], delta)
-            t = outer_min_subspace(h, -0.5, region, 2, probe_nonunique=False)
+            t = outer_min_subspace(h, -0.5, region, 2)
             est = estimate_negative_eigenspace(h, t, 2)
             angles.append(principal_angle(est.frame.columns, np.eye(3)[:, 1:]))
         assert angles[0] > angles[1] > angles[2]

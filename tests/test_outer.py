@@ -1,10 +1,7 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from conftest import ball
-from saddlekit.errors import NonUniqueWarning
 from saddlekit.geometry import AffineSubspace, quadratic_minmax_exact
 from saddlekit.linalg import Frame
 from saddlekit.objectives import ObjectiveFunction, make_diagonal_quadratic
@@ -25,7 +22,7 @@ class TestOuterMinSubspace:
     def test_full_space_index(self):
         # m = n: no rotations exist, the solve reduces to one inner problem
         f = make_diagonal_quadratic([1.0, -1.0])
-        t = outer_min_subspace(f, -1.0, ball(2, 2.0), 2, probe_nonunique=False)
+        t = outer_min_subspace(f, -1.0, ball(2, 2.0), 2)
         assert t.subspace.dim == 2
         # the superlevel set meets the ball out to its rim along the x1 axis
         assert t.diameter == pytest.approx(4.0, abs=1e-6)
@@ -33,25 +30,21 @@ class TestOuterMinSubspace:
 
     def test_saddle_line(self):
         f = make_diagonal_quadratic([1.0, -1.0])
-        t = outer_min_subspace(f, -1.0, ball(2, 2.0), 1, probe_nonunique=False)
+        t = outer_min_subspace(f, -1.0, ball(2, 2.0), 1)
         assert t.diameter == pytest.approx(2.0, abs=1e-9)
         # minimizing line is the downhill axis
         v = t.subspace.frame.columns[:, 0]
         assert abs(v[1]) == pytest.approx(1.0, abs=1e-6)
 
-    def test_index_two_non_unique_warns(self):
-        f = make_diagonal_quadratic([1.0, -1.0, -3.0])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            t = outer_min_subspace(f, -1.0, ball(3, 2.0), 2, probe_nonunique=True)
-        assert t.diameter == pytest.approx(2.0, abs=1e-9)
-        assert any(issubclass(w.category, NonUniqueWarning) for w in caught)
-
     def test_matches_closed_form(self):
-        for coeffs, m in (([2.0, -0.7], 1), ([1.5, 1.0, -0.5, -2.0], 2)):
+        for coeffs, m in (
+            ([2.0, -0.7], 1),
+            ([1.0, -1.0, -3.0], 2),
+            ([1.5, 1.0, -0.5, -2.0], 2),
+        ):
             f = make_diagonal_quadratic(coeffs)
             lvl = -0.8
-            t = outer_min_subspace(f, lvl, ball(len(coeffs), 3.0), m, probe_nonunique=False)
+            t = outer_min_subspace(f, lvl, ball(len(coeffs), 3.0), m)
             expect = quadratic_minmax_exact(coeffs, lvl).diameter
             assert t.diameter == pytest.approx(expect, abs=1e-6)
 
@@ -62,7 +55,7 @@ class TestOuterMinSubspace:
         f = make_diagonal_quadratic([1.0, -1.0])
         psi = np.pi / 6.0
         s0 = AffineSubspace(np.zeros(2), Frame(np.array([[np.sin(psi)], [np.cos(psi)]])))
-        t = outer_min_subspace(f, -1.0, ball(2, 2.0), 1, S0=s0, probe_nonunique=False)
+        t = outer_min_subspace(f, -1.0, ball(2, 2.0), 1, S0=s0)
         assert t.diameter == pytest.approx(2.0, abs=1e-6)
 
     def test_rotation_invariance(self, rng):
@@ -70,8 +63,8 @@ class TestOuterMinSubspace:
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         fq = conjugated(f, q)
         lvl = -0.6
-        t1 = outer_min_subspace(f, lvl, ball(4, 3.0), 2, probe_nonunique=False)
-        t2 = outer_min_subspace(fq, lvl, ball(4, 3.0), 2, probe_nonunique=False)
+        t1 = outer_min_subspace(f, lvl, ball(4, 3.0), 2)
+        t2 = outer_min_subspace(fq, lvl, ball(4, 3.0), 2)
         assert t1.diameter == pytest.approx(t2.diameter, abs=1e-6)
 
     def test_index_validation(self):
