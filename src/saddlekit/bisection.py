@@ -5,7 +5,9 @@ critical value.  Before the loop, a certified minimax bracket
 ``[lb, ub]`` is computed once near the saddle (the orthogonal-space
 minimum and the slice maximum, alternated a few steps).  A midpoint above
 ``ub`` is empty without any solve; one below ``lb`` is nonempty, and its
-slice on the certifying subspace is solved once for the trace.  Only a
+slice on the certifying subspace is solved once for the trace, the first
+such slice warm-started from the certificate's quadratic model at the
+slice maximiser and every later one from the pair before it.  Only a
 midpoint inside ``[lb, ub]``, or every midpoint when a certificate fails,
 runs the outer min-max search: a positive minimized slice diameter
 certifies the midpoint lies below the critical value (raise the lower
@@ -19,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidBracket
+from .errors import DomainViolation, InvalidBracket, NonFiniteValue
 from .geometry import OptimizingTriple, inner_max_diameter
 from .local import _certified_bracket
 from .outer import default_initial_subspace, outer_min_subspace
@@ -77,9 +79,12 @@ def bisection_solve(f, U, m, l0, u0, tol=0.0, max_iter=50, rng=None):
     The certified bracket ``(lb, ub, S_cert)`` of the critical value is
     computed once, starting from the Hessian eigenspace at the trust centre
     (see :func:`saddlekit.local._certified_bracket`).  A midpoint above
-    ``ub`` is empty and records the empty triple of ``S_cert``.  A midpoint
-    below ``lb`` is nonempty and records the widest pair of its slice on
-    ``S_cert``, warm-started from the pair of the last such level.  Any
+    ``ub`` is empty and records the empty triple of ``S_cert`` at its
+    maximiser ``S_cert.base``.  A midpoint below ``lb`` is nonempty and
+    records the widest pair of its slice on ``S_cert``, warm-started from
+    the pair of the last such level; the first such level starts from the
+    pair of the quadratic model (:func:`_model_pair`) and falls back to the
+    cold multi-start when the model gives none.  Any
     other midpoint, and every midpoint when no certificate holds, is
     classified by :func:`outer_min_subspace` on the full rotation schedule,
     started from the subspace of the last level certified below the
@@ -110,10 +115,11 @@ def bisection_solve(f, U, m, l0, u0, tol=0.0, max_iter=50, rng=None):
         state.iter = i
         mid = 0.5 * (state.lower + state.upper)
         if mid > ub:
-            anchor = s_cert.project(U.center)
-            triple = OptimizingTriple(s_cert, anchor, anchor, 0.0, empty=True)
+            triple = OptimizingTriple(s_cert, s_cert.base, s_cert.base, 0.0, empty=True)
             empty = True
         elif mid < lb:
+            if warm_pair is None:
+                warm_pair = _model_pair(f, s_cert, mid, U)
             triple = inner_max_diameter(f, s_cert, mid, U, rng=rng, warm_pair=warm_pair)
             warm_pair = (triple.x, triple.y)
             empty = False
@@ -140,6 +146,30 @@ def bisection_solve(f, U, m, l0, u0, tol=0.0, max_iter=50, rng=None):
         ))
     triple = last_nonempty if last_nonempty is not None else state.last_triple
     return (state.lower, state.upper), triple, trace
+
+
+def _model_pair(f, S, l, U):
+    """Widest pair of the quadratic model of f on S at level l, or None.
+
+    S is based at the maximiser y of f on S, with frame F.  Along the
+    eigenvector d of the least negative eigenvalue lambda of F^T H(y) F the
+    model's slice reaches ``y ± t F d``, ``t = sqrt(2 (f(y) - l) / |lambda|)``.
+    None when the model has no such pair (``lambda >= 0`` or ``f(y) <= l``),
+    when either point lies outside U (a clipped slice is not the model's),
+    or when the Hessian fails to evaluate.
+    """
+    y, frame = S.base, S.frame.columns
+    try:
+        gap = f.value(y) - l
+        h = f.hessian(y)
+        evals, evecs = np.linalg.eigh(frame.T @ (0.5 * (h + h.T)) @ frame)
+    except (DomainViolation, NonFiniteValue, np.linalg.LinAlgError):
+        return None
+    if evals[-1] >= 0.0 or gap <= 0.0:
+        return None
+    step = np.sqrt(2.0 * gap / -evals[-1]) * (frame @ evecs[:, -1])
+    pair = (y + step, y - step)
+    return pair if all(U.contains(p) for p in pair) else None
 
 
 @dataclass

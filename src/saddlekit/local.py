@@ -172,7 +172,9 @@ def _certified_bracket(f, U, m, S):
     :func:`orthogonal_space_lower_bound`: ``lb`` is the minimum less
     ``|g|^2 / (2 lambda_min)``, ``ub`` the maximum plus
     ``|g|^2 / (2 |lambda_max|)``.  A level above ``ub`` leaves the slice of
-    ``S_cert`` empty; below ``lb`` it leaves every slice nonempty.
+    ``S_cert`` empty; below ``lb`` it leaves every slice nonempty.  The
+    returned ``S_cert`` is based at its maximiser, so ``S_cert.base`` is the
+    point where f attains the (uncorrected) maximum on ``S_cert``.
 
     Returns None when a certificate fails: an optimiser that stops on the
     ball boundary or does not converge, a restricted Hessian that is not
@@ -194,7 +196,7 @@ def _certified_bracket(f, U, m, S):
             S = hessian_eigenspace(f, y, m)
     except (Unbounded, DomainViolation, NonFiniteValue, np.linalg.LinAlgError):
         return None
-    return lb - slack, ub + slack, s_cert
+    return lb - slack, ub + slack, AffineSubspace(y, s_cert.frame)
 
 
 def estimate_negative_eigenspace(f, triple, m):

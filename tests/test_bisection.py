@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ball
-from saddlekit import bisection
+from saddlekit import bisection, geometry
 from saddlekit.bisection import (
     bisection_solve,
     default_bracket,
     stationarity_diagnostic,
 )
 from saddlekit.errors import InvalidBracket
+from saddlekit.geometry import inner_max_diameter
 from saddlekit.local import _certified_bracket
 from saddlekit.objectives import (
     ObjectiveFunction,
@@ -157,6 +158,62 @@ class TestCertifiedBracket:
         assert lo <= v <= hi
         assert hi - lo <= 1e-5
         assert searched == []
+
+    @pytest.mark.parametrize("seed,n,m", [(2, 4, 2), (3, 5, 1), (4, 6, 3)])
+    def test_certified_levels_run_no_cold_slice_solve(self, seed, n, m, monkeypatch):
+        # the first level below lb starts from the certificate's quadratic
+        # model, so no slice solve has to search for a feasible point
+        f, c, v = rotated_quadratic(seed, n, m)
+        region = ball(c, 1.0)
+        assert certificate(f, region, m) is not None
+        searches = []
+        find_feasible = geometry._find_feasible
+
+        def counted(sp, l, *args, **kwargs):
+            searches.append(l)
+            return find_feasible(sp, l, *args, **kwargs)
+
+        monkeypatch.setattr(geometry, "_find_feasible", counted)
+        (lo, hi), _, trace = bisection_solve(
+            f, region, m, v - 0.8137, v + 1.2291, tol=1e-5, max_iter=30
+        )
+        assert lo <= v <= hi
+        assert any(r.diameter > 1e-9 for r in trace)
+        assert searches == []
+
+    def test_empty_rows_record_the_slice_maximiser(self):
+        # off the saddle's centre, the projection of the ball centre onto
+        # S_cert is no critical point (gradient norm 0.143 here); the
+        # maximiser on S_cert is the saddle itself
+        f, c, v = rotated_quadratic(3, 4, 2)
+        region = ball(c + 0.15 * np.ones(4), 1.0)
+        assert certificate(f, region, 2) is not None
+        _, _, trace = bisection_solve(
+            f, region, 2, v - 0.8137, v + 1.2291, tol=1e-5, max_iter=30
+        )
+        empty = [r.grad_norm for r in trace if r.diameter <= 1e-9]
+        assert empty
+        assert max(empty) <= 1e-8
+
+    @pytest.mark.parametrize("depth", [0.05, 0.8])
+    @pytest.mark.parametrize(
+        "seed,n,m,off",
+        [(0, 2, 1, 0.0), (1, 3, 2, 0.8), (2, 4, 2, 0.3), (3, 5, 1, 0.2),
+         (4, 6, 3, 0.5), (5, 4, 3, 0.4), (6, 3, 1, 0.8), (7, 5, 2, 0.7)],
+    )
+    def test_model_seed_finds_the_cold_widest_pair(self, seed, n, m, off, depth):
+        # where the model's pair leaves the ball (rotated_quadratic(1, 3, 2)
+        # moved 0.8 at depth 0.8) the clipped slice is wider along another
+        # direction: seeded anyway, the pair stops at 1.100 against 1.264
+        f, c, _ = rotated_quadratic(seed, n, m)
+        u = np.random.default_rng(seed + 1).standard_normal(n)
+        region = ball(c + off * u / np.linalg.norm(u), 1.0)
+        lb, _, s_cert = certificate(f, region, m)
+        level = lb - depth
+        _, _, trace = bisection_solve(f, region, m, level - 1.0, level + 1.0, max_iter=1)
+        # the recorded lower bound is the midpoint as rounded
+        cold = inner_max_diameter(f, s_cert, trace[0].l, region).diameter
+        assert abs(trace[0].diameter - cold) <= 1e-12 * (1.0 + cold)
 
     @pytest.mark.parametrize(
         "f,region,m,l0,u0,max_iter,expected",
