@@ -817,9 +817,10 @@ def brute_force_diameter(f, S, l, U, grid_resolution=64):
     """Dense-grid oracle for the slice diameter (slice dimension <= 3).
 
     Maps a regular grid on the local ball to ambient points in one product,
-    keeps the points with f >= l (one ``f.value`` call each), and finds
-    their widest pair on its convex hull (:mod:`saddlekit.kernels`).  The
-    result is within O(diam(U) / grid_resolution) of the true diameter.
+    evaluates them all in one ``f.values`` call, keeps those with f >= l,
+    and finds their widest pair on its convex hull
+    (:mod:`saddlekit.kernels`).  The result is within
+    O(diam(U) / grid_resolution) of the true diameter.
     """
     if S.dim > 3:
         raise ValueError("brute force oracle is limited to slice dimension <= 3")
@@ -835,7 +836,7 @@ def brute_force_diameter(f, S, l, U, grid_resolution=64):
     inside = np.linalg.norm(pts - sp.wc, axis=1) <= sp.rloc * (1.0 + 1e-12)
     pts = pts[inside]
     feas_tol = 1e-12 * (1.0 + abs(l))
-    vals = np.array([f.value(x) for x in sp.base + pts @ sp.v.T])
+    vals = f.values(sp.base + pts @ sp.v.T)
     pts = pts[vals >= l - feas_tol]
     if pts.shape[0] == 0:
         return _empty_triple(sp)

@@ -2,7 +2,9 @@
 
 An :class:`ObjectiveFunction` bundles evaluation, gradient and (optional)
 Hessian callables.  Missing derivatives fall back to central finite
-differences.  All callables must be pure and reentrant; the solvers may
+differences.  An optional ``batch`` callable evaluates many points in one
+call (:meth:`ObjectiveFunction.values`); it must agree with ``f`` row by row
+up to rounding.  All callables must be pure and reentrant; the solvers may
 evaluate them from several starts concurrently.
 
 The corpus contains the problems addressable by name from the command line:
@@ -45,12 +47,19 @@ class ObjectiveFunction:
 
     ``grad`` and ``hess`` may be None, in which case central finite
     differences of ``f`` (resp. of the gradient) are used.
+
+    ``batch``, when given, maps an ``(N, n)`` array to the ``N`` values of
+    ``f`` at its rows, and must equal ``f`` row by row up to rounding.
+    :meth:`values` uses it; when it is None, :meth:`values` loops over
+    :meth:`value`.  ``dataclasses.replace(obj, f=g)`` keeps the old
+    ``batch``, so replace both fields or set ``batch=None``.
     """
 
     dim: int
     f: Callable
     grad: Optional[Callable] = None
     hess: Optional[Callable] = None
+    batch: Optional[Callable] = None
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -63,11 +72,22 @@ class ObjectiveFunction:
         x = np.asarray(x, dtype=float)
         if self.grad is not None:
             g = np.asarray(self.grad(x), dtype=float)
-            # a single reduction: any inf/nan entry makes the sum non-finite
-            if not math.isfinite(float(np.sum(g))):
+            # a single reduction: any inf/nan entry makes the sum non-finite;
+            # a non-finite sum of finite entries (overflow) is confirmed entrywise
+            if not math.isfinite(float(np.sum(g))) and not np.all(np.isfinite(g)):
                 raise NonFiniteValue(f"gradient returned non-finite entries at {x}")
             return g
         return fd_gradient(self, x)
+
+    def values(self, xs):
+        """Values of ``f`` at the rows of the ``(N, n)`` array ``xs``, shape ``(N,)``."""
+        xs = np.asarray(xs, dtype=float)
+        if self.batch is None:
+            return np.array([self.value(x) for x in xs], dtype=float)
+        v = np.asarray(self.batch(xs), dtype=float)
+        if not math.isfinite(float(np.sum(v))) and not np.all(np.isfinite(v)):
+            raise NonFiniteValue("batched objective returned non-finite values")
+        return v
 
     def hessian(self, x):
         x = np.asarray(x, dtype=float)
@@ -158,6 +178,7 @@ def make_quadratic(a, b=None, c=0.0):
         f=lambda x: 0.5 * float(x @ a @ x) + float(b @ x) + c,
         grad=lambda x: a @ x + b,
         hess=lambda x: a.copy(),
+        batch=lambda xs: 0.5 * np.einsum("ij,ij->i", xs @ a, xs) + xs @ b + c,
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -29,6 +30,38 @@ from saddlekit.objectives import (
     make_diagonal_quadratic,
     make_perturbed_quadratic,
 )
+
+
+def _oracle_quadratic_slices():
+    """(f, S, l, U, resolution): the quadratic slices of acceptance criterion
+    9, and 3-D slices of x1^2 - x2^2 - 2 x3^2 - 3 x4^2 tilted by <= 0.03 rad
+    off its negative eigenspace, near their top and well below it."""
+    quad2 = make_diagonal_quadratic([1.0, -1.0])
+    quad2b = make_diagonal_quadratic([2.0, -0.5])
+    quad3 = make_diagonal_quadratic([1.0, -1.0, -3.0])
+    quad4 = make_diagonal_quadratic([1.0, -1.0, -2.0, -3.0])
+    tilted = span_subspace([0.0, 0.0], [np.sin(np.pi / 6.0), np.cos(np.pi / 6.0)])
+    base, cols = failure_3d_problem().naive_subspace
+    cases = [
+        (quad2, axis_subspace(2, [1]), -1.0, ball(2, 2.0), 64),
+        (quad2, axis_subspace(2, [1]), -0.25, ball(2, 2.0), 64),
+        (quad2, tilted, -0.5, ball(2, 2.0), 64),
+        (quad2b, axis_subspace(2, [1]), -0.8, ball(2, 3.0), 64),
+        (quad3, axis_subspace(3, [1, 2]), -1.0, ball(3, 2.0), 64),
+        (quad3, AffineSubspace(base, Frame(cols)), -1.0, ball(3, 2.0), 64),
+        (quad3, axis_subspace(3, [0, 1]), -0.5, ball(3, 2.0), 64),
+        (quad3, axis_subspace(3, [1, 2], base=[0.1, 0.0, 0.0]), -0.5, ball(3, 2.0), 64),
+    ]
+    rng = np.random.default_rng(5)
+    for depth in (0.05, 0.05, 0.8, 0.8):
+        skew = rng.standard_normal((4, 4))
+        skew = 0.015 * (skew - skew.T) / np.linalg.norm(skew - skew.T, 2)
+        tilt = np.linalg.solve(np.eye(4) - skew, np.eye(4) + skew)  # Cayley: a rotation
+        s = AffineSubspace(tilt[:, 0] * rng.uniform(-0.05, 0.05), Frame(tilt[:, 1:]))
+        h = s.frame.columns.T @ quad4.hessian(s.base) @ s.frame.columns
+        top = quad4.value(s.from_local(np.linalg.solve(h, -(s.frame.columns.T @ quad4.gradient(s.base)))))
+        cases.append((quad4, s, top - depth, ball(4, 1.0), 48))
+    return cases
 
 
 def golden_section_min(fun, lo, hi, tol=1e-10):
@@ -450,6 +483,27 @@ class TestBruteForce:
         f = make_diagonal_quadratic([1.0, -1.0])
         with pytest.raises(ValueError):
             brute_force_diameter(f, axis_subspace(2, [1]), -1.0, ball(2, 2.0), 16)
+
+    def test_quadratic_makes_no_scalar_value_call(self):
+        f = make_diagonal_quadratic([1.0, -1.0, -3.0])
+        calls = [0]
+
+        def value(x):
+            calls[0] += 1
+            return f.f(x)
+
+        counted = dataclasses.replace(f, f=value)  # keeps f.batch
+        t = brute_force_diameter(counted, axis_subspace(3, [1, 2]), -1.0, ball(3, 2.0), 64)
+        assert calls[0] == 0 and not t.empty
+
+    @pytest.mark.parametrize("f, s, lvl, region, res", _oracle_quadratic_slices())
+    def test_batched_triple_is_bit_identical_to_the_loop(self, f, s, lvl, region, res):
+        batched = brute_force_diameter(f, s, lvl, region, res)
+        looped = brute_force_diameter(dataclasses.replace(f, batch=None), s, lvl, region, res)
+        assert not batched.empty
+        assert batched.x.tobytes() == looped.x.tobytes()
+        assert batched.y.tobytes() == looped.y.tobytes()
+        assert batched.diameter == looped.diameter
 
     @settings(max_examples=12, derandomize=True, database=None, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), angle=st.floats(0.0, 0.03), offset=st.floats(0.05, 0.9))

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddlekit.errors import DomainViolation, NonFiniteValue
 from saddlekit.objectives import (
@@ -47,6 +49,79 @@ class TestFiniteDifferences:
         x = rng.standard_normal(2)
         h_fd = fd_hessian(ObjectiveFunction(dim=2, f=f.f), x)
         npt.assert_allclose(h_fd, f.hessian(x), atol=1e-4)
+
+
+class TestFiniteChecks:
+    def test_large_finite_gradient_is_returned(self):
+        # the entries are finite although their sum overflows to inf
+        f = ObjectiveFunction(dim=2, f=lambda x: 0.0, grad=lambda x: np.array([1e308, 1e308]))
+        with np.errstate(over="ignore"):
+            npt.assert_array_equal(f.gradient(np.zeros(2)), [1e308, 1e308])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_gradient_entry_raises(self, bad):
+        f = ObjectiveFunction(dim=2, f=lambda x: 0.0, grad=lambda x: np.array([1.0, bad]))
+        with pytest.raises(NonFiniteValue):
+            f.gradient(np.zeros(2))
+
+
+class TestValues:
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3, 8]),
+           diagonal=st.booleans())
+    def test_batch_matches_value_up_to_rounding(self, seed, n, diagonal):
+        """Each batched value equals the scalar value within 4 eps of the
+        size of its terms, 0.5 |x|'|A||x| + |b|'|x| + |c|: the two sum the
+        same terms in different orders, so under cancellation they can
+        differ by far more than eps |v|."""
+        rng = np.random.default_rng(seed)
+        if diagonal:
+            f = make_diagonal_quadratic(rng.uniform(-5.0, 5.0, n))
+            a, b, c = f.hessian(np.zeros(n)), np.zeros(n), 0.0
+        else:
+            a = rng.uniform(-5.0, 5.0, (n, n))
+            a, b, c = a + a.T, rng.uniform(-5.0, 5.0, n), rng.uniform(-5.0, 5.0)
+            f = make_quadratic(a, b, c)
+        xs = rng.uniform(-10.0, 10.0, (25, n))
+        v = f.values(xs)
+        assert v.shape == (25,) and v.dtype == float
+        ax = np.abs(xs)
+        size = 0.5 * np.einsum("ij,ij->i", ax @ np.abs(a), ax) + ax @ np.abs(b) + abs(c)
+        eps = np.finfo(float).eps
+        for i, x in enumerate(xs):
+            assert abs(v[i] - f.value(x)) <= 4.0 * eps * (1.0 + size[i])
+
+    def test_failure_3d_inherits_the_batch(self):
+        assert failure_3d_problem().objective.batch is not None
+        assert problem_from_name("quadratic-diag:1,-2").objective.batch is not None
+
+    def test_loop_without_batch_is_bit_identical(self, rng):
+        for f in (cubic_saddle_problem().objective, make_perturbed_quadratic([1.0, -1.0, -2.0], 0.05)):
+            assert f.batch is None
+            xs = rng.uniform(-1.0, 1.0, (30, f.dim))
+            npt.assert_array_equal(f.values(xs), [f.value(x) for x in xs])
+
+    def test_empty_input(self):
+        for f in (make_quadratic(np.eye(3), np.ones(3), 1.0), cubic_saddle_problem().objective):
+            v = f.values(np.empty((0, f.dim)))
+            assert v.shape == (0,)
+
+    def test_nonfinite_batch_raises(self):
+        for bad in (np.inf, np.nan):
+            f = ObjectiveFunction(dim=2, f=lambda x: 0.0, batch=lambda xs: np.array([1.0, bad]))
+            with pytest.raises(NonFiniteValue):
+                f.values(np.zeros((2, 2)))
+
+    def test_large_finite_batch_is_returned(self):
+        f = ObjectiveFunction(dim=2, f=lambda x: 0.0, batch=lambda xs: np.array([1e308, 1e308]))
+        with np.errstate(over="ignore"):
+            npt.assert_array_equal(f.values(np.zeros((2, 2))), [1e308, 1e308])
+
+    def test_loop_keeps_domain_violation(self):
+        f = four_lines_function().objective
+        xs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(DomainViolation):
+            f.values(xs)
 
 
 class TestQuadratics:
