@@ -93,12 +93,11 @@ def bisection_solve(f, U, m, l0, u0, tol=0.0, max_iter=50, rng=None):
     ``((lower, upper), triple, trace)`` where the triple is the widest pair
     from the last level certified below the critical value (its midpoint is
     the critical-point candidate).  The final width satisfies
-    ``upper - lower <= max(tol, (u0 - l0) * 2**-max_iter)``.
+    ``upper - lower <= max(tol, (u0 - l0) * 2**-max_iter)``.  The solve
+    draws no random numbers; ``rng`` is accepted and not read.
     """
     if not (l0 < u0):
         raise InvalidBracket(f"need l0 < u0, got [{l0}, {u0}]")
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     state = BisectionState(iter=0, lower=float(l0), upper=float(u0))
     trace = SolverTrace()
@@ -120,11 +119,11 @@ def bisection_solve(f, U, m, l0, u0, tol=0.0, max_iter=50, rng=None):
         elif mid < lb:
             if warm_pair is None:
                 warm_pair = _model_pair(f, s_cert, mid, U)
-            triple = inner_max_diameter(f, s_cert, mid, U, rng=rng, warm_pair=warm_pair)
+            triple = inner_max_diameter(f, s_cert, mid, U, warm_pair=warm_pair)
             warm_pair = (triple.x, triple.y)
             empty = False
         else:
-            triple = outer_min_subspace(f, mid, U, m, S0=s_hint, rng=rng)
+            triple = outer_min_subspace(f, mid, U, m, S0=s_hint)
             empty = triple.diameter <= 1e-9
         if empty:
             state.upper = mid

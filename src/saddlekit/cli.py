@@ -108,12 +108,11 @@ def run(config):
     config.validate(f.dim)
     center = config.center if config.center is not None else np.zeros(f.dim)
     region = TrustRegion(center, config.radius)
-    rng = np.random.default_rng(config.seed)
     m = config.morse_index
 
     lower, upper = config.lower, config.upper
     if lower is None or upper is None:
-        l_auto, u_auto = default_bracket(f, region, rng=rng)
+        l_auto, u_auto = default_bracket(f, region, rng=np.random.default_rng(config.seed))
         lower = l_auto if lower is None else lower
         upper = u_auto if upper is None else upper
 
@@ -125,7 +124,7 @@ def run(config):
 
     if config.algorithm in ("bisection", "both"):
         bracket, triple, btrace = bisection_solve(
-            f, region, m, lower, upper, tol=config.tol, max_iter=config.max_iter, rng=rng
+            f, region, m, lower, upper, tol=config.tol, max_iter=config.max_iter
         )
         btrace.critical_value = problem.known_critical_value
         trace = btrace
@@ -148,7 +147,7 @@ def run(config):
         result = fast_local_solve(
             f, region, m, lower,
             max_iter=config.max_iter, tol=config.tol,
-            naive_subspace=config.naive_subspace, S0=s_hint, rng=rng,
+            naive_subspace=config.naive_subspace, S0=s_hint,
             critical_value=problem.known_critical_value,
         )
         trace = result.trace
@@ -220,7 +219,8 @@ def _build_parser():
     ps.add_argument("--upper", type=float, default=None)
     ps.add_argument("--tol", type=float, default=1e-8)
     ps.add_argument("--max-iter", type=int, default=50)
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=int, default=0,
+                    help="seeds the default bracket, used when --lower or --upper is omitted")
     ps.add_argument("--trace-out", default=None)
     ps.add_argument("--format", default="csv", choices=["csv", "json"])
     ps.add_argument("--naive-subspace", action="store_true",

@@ -288,17 +288,19 @@ def _farthest_feasible_on_ray(sp, l, anchor, u, feas_tol):
     return anchor + lo * u
 
 
-def _find_feasible(sp, l, feas_tol, rng):
+def _off_axis_ray(k, j):
+    """Fixed unit direction number j of R^k, off every coordinate axis."""
+    u = np.sin((j + 1) * 0.75488 * np.arange(1, k + 1) + 0.5)
+    return u / np.linalg.norm(u)
+
+
+def _find_feasible(sp, l, feas_tol):
     """Any point of the slice, or None when phi stays below l on the ball."""
     if sp.phi(sp.wc) >= l - feas_tol:
         return sp.wc.copy()
-    seeds = [sp.wc.copy()]
     k = sp.wc.size
-    for _ in range(2):
-        u = rng.standard_normal(k)
-        nu = np.linalg.norm(u)
-        if nu > 0.0:
-            seeds.append(sp.clip(sp.wc + 0.5 * sp.rloc * u / nu))
+    seeds = [sp.wc.copy()]
+    seeds += [sp.clip(sp.wc + 0.5 * sp.rloc * _off_axis_ray(k, j)) for j in range(2)]
     for w0 in seeds:
         res = trust_region_minimize(
             lambda w: -sp.phi(w),
@@ -470,14 +472,15 @@ def inner_max_diameter(f, S, l, U, rng=None, warm_pair=None, forcing=None):
     diameter-0 triple flagged ``empty`` when the slice contains no point.
 
     ``forcing=None`` is the exact solve: seeds along the ±frame directions
-    plus two random rays (2k+2 starts), an ascent run until a sweep gains
-    less than 1e-11 (relative), and a Newton polish of the stationarity
-    system down to a residual of 1e-13 (1 + |l|).  A number is the local
-    driver's solve.  A positive one is inexact: one random ray, no polish,
-    and after seeding the slice radius rho is measured from the seed
-    separation and the ascent is stalled at a progress threshold of order
-    (forcing * rho^2)^2, which leaves a midpoint error of order
-    forcing * rho^2, i.e. proportional to the level gap still to climb.
+    plus two fixed off-axis rays (2k+2 starts), an ascent run until a sweep
+    gains less than 1e-11 (relative), and a Newton polish of the
+    stationarity system down to a residual of 1e-13 (1 + |l|).  A number is
+    the local driver's solve.  A positive one is inexact: the first
+    off-axis ray only, no polish, and after seeding the slice radius rho is
+    measured from the seed separation and the ascent is stalled at a
+    progress threshold of order (forcing * rho^2)^2, which leaves a midpoint
+    error of order forcing * rho^2, i.e. proportional to the level gap still
+    to climb.
     Tolerances then track the slice rather than any assumed critical value.
     ``forcing=0`` seeds, ascends and polishes as the exact solve does.
 
@@ -492,17 +495,17 @@ def inner_max_diameter(f, S, l, U, rng=None, warm_pair=None, forcing=None):
     solve of the local driver (``forcing`` a number), whose scale is the
     squared radius 0.25 |x - y|^2 of its warm pair (x, y), kept for the cold
     retry.
+
+    The solve draws no random numbers; ``rng`` is accepted and not read.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     scale = 1.0 + abs(l)
     if warm_pair is not None and forcing is not None:
         d = float(np.linalg.norm(np.asarray(warm_pair[0]) - np.asarray(warm_pair[1])))
         scale = max(0.25 * d * d, 1e-300)
-    return _widest_pair(f, S, l, U, rng, warm_pair, 1e-12 * scale, forcing, warm_pair is None)
+    return _widest_pair(f, S, l, U, warm_pair, 1e-12 * scale, forcing, warm_pair is None)
 
 
-def _widest_pair(f, S, l, U, rng, warm_pair, feas_tol, forcing, detect_nonunique):
+def _widest_pair(f, S, l, U, warm_pair, feas_tol, forcing, detect_nonunique):
     sp = _SliceProblem(f, S, U)
     k = S.dim
     initial_feas_tol = feas_tol
@@ -516,23 +519,15 @@ def _widest_pair(f, S, l, U, rng, warm_pair, feas_tol, forcing, detect_nonunique
         q0 = sp.clip(S.to_local(warm_pair[1]))
         starts.append((p0, q0))
     else:
-        anchor = _find_feasible(sp, l, feas_tol, rng)
+        anchor = _find_feasible(sp, l, feas_tol)
         if anchor is None:
             return _empty_triple(sp)
-        dirs = []
         # axis seeds are degenerate on axis-symmetric slices, where they pin
-        # the pair to an exactly symmetric configuration; the inexact solve
-        # seeds from one random ray only
+        # the pair to an exactly symmetric configuration, so off-axis rays
+        # join them; the inexact solve seeds from the first off-axis ray only
+        dirs = [_off_axis_ray(k, j) for j in range(2 if polish else 1)]
         if polish:
-            for i in range(k):
-                e = np.zeros(k)
-                e[i] = 1.0
-                dirs.extend([e, -e])
-        for _ in range(2 if polish else 1):
-            u = rng.standard_normal(k)
-            nu = np.linalg.norm(u)
-            if nu > 0:
-                dirs.append(u / nu)
+            dirs = [sign * e for e in np.eye(k) for sign in (1.0, -1.0)] + dirs
         for u in dirs:
             p0 = _farthest_feasible_on_ray(sp, l, anchor, u, feas_tol)
             q0 = _farthest_feasible_on_ray(sp, l, anchor, -u, feas_tol)
@@ -590,7 +585,7 @@ def _widest_pair(f, S, l, U, rng, warm_pair, feas_tol, forcing, detect_nonunique
 
     if not results:
         if warm_pair is not None:
-            return _widest_pair(f, S, l, U, rng, None, initial_feas_tol, forcing, False)
+            return _widest_pair(f, S, l, U, None, initial_feas_tol, forcing, False)
         return _empty_triple(sp)
 
     best_sep = max(r[0] for r in results)

@@ -246,10 +246,9 @@ def fast_local_solve(
     failure on problems like ``failure-3d``.  ``critical_value``, when known,
     is stored on the trace and is the reference of the rate measurement.
     Raises :class:`Unbounded` or :class:`LowerBoundViolated` when the
-    iteration leaves its basin.
+    iteration leaves its basin.  The solve draws no random numbers;
+    ``rng`` is accepted and not read.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     if not (1 <= m <= f.dim):
         raise ValueError(f"morse index must satisfy 1 <= m <= {f.dim}")
     if S0 is not None and S0.dim != m:
@@ -267,9 +266,7 @@ def fast_local_solve(
     iterations = 0
     for i in range(max_iter):
         iterations = i + 1
-        triple = inner_max_diameter(
-            f, s_hint, l, U, rng=rng, warm_pair=warm_pair, forcing=inner_forcing
-        )
+        triple = inner_max_diameter(f, s_hint, l, U, warm_pair=warm_pair, forcing=inner_forcing)
         z = triple.midpoint
         if triple.empty or triple.diameter <= 64.0 * np.finfo(float).eps * np.max(np.abs(z)):
             # the slice is empty, or a few ulps of the midpoint's coordinates

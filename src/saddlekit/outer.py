@@ -55,7 +55,6 @@ def outer_min_subspace(
     U,
     m,
     S0=None,
-    rng=None,
     rot_step0=np.pi / 16.0,
     rot_step_min=1e-7,
 ):
@@ -71,10 +70,8 @@ def outer_min_subspace(
     rotation step falls below ``rot_step_min``, or after 400 sweeps with the
     triple flagged not ``converged``.  A diameter-0 result (empty or
     degenerate slice) is returned as soon as it appears, since the objective
-    cannot drop further.
+    cannot drop further.  The search draws no random numbers.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     if not (1 <= m <= f.dim):
         raise ValueError(f"morse index must satisfy 1 <= m <= {f.dim}")
     n = f.dim
@@ -86,7 +83,7 @@ def outer_min_subspace(
     if S.dim != m:
         raise ValueError("initial subspace dimension does not match the index")
 
-    best = inner_max_diameter(f, S, l, U, rng=rng)
+    best = inner_max_diameter(f, S, l, U)
     if best.empty or best.diameter == 0.0:
         return best
 
@@ -109,7 +106,7 @@ def outer_min_subspace(
                 for sign in (1.0, -1.0):
                     vr, cr = _rotated(v, comp, i, j, sign * step)
                     s_try = AffineSubspace(base, Frame(vr))
-                    trial = inner_max_diameter(f, s_try, l, U, rng=rng, warm_pair=(best.x, best.y))
+                    trial = inner_max_diameter(f, s_try, l, U, warm_pair=(best.x, best.y))
                     if trial.empty or trial.diameter == 0.0:
                         return trial
                     if trial.diameter < best.diameter - imp_tol:
@@ -122,7 +119,7 @@ def outer_min_subspace(
                 shifted = base + sign * trans_step * comp[:, j]
                 try:
                     s_try = AffineSubspace(shifted, Frame(v))
-                    trial = inner_max_diameter(f, s_try, l, U, rng=rng, warm_pair=(best.x, best.y))
+                    trial = inner_max_diameter(f, s_try, l, U, warm_pair=(best.x, best.y))
                 except ValueError:  # shifted subspace misses the region
                     continue
                 if trial.empty or trial.diameter == 0.0:

@@ -62,9 +62,7 @@ def quadratic_sweep():
         a, n, m = random_signature(rng)
         lvl = float(rng.uniform(-2.0, -0.1))
         f = make_diagonal_quadratic(a)
-        triple = outer_min_subspace(
-            f, lvl, ball(n, 4.0), m, rng=np.random.default_rng(1000 + trial),
-        )
+        triple = outer_min_subspace(f, lvl, ball(n, 4.0), m)
         expected = 2.0 * np.sqrt(lvl / a[n - m])
         runs.append((a, n, m, lvl, triple, expected))
     return runs, time.monotonic() - t0

@@ -247,7 +247,6 @@ class TestCertifiedBracket:
         (lo, hi), triple, _ = bisection_solve(
             f, ball(np.array([0.5, 0.5]) / np.sqrt(2.0), 1.0), 1,
             -1.1023224268498633, 1.1096982286828247, tol=1e-6, max_iter=60,
-            rng=np.random.default_rng(888658063),
         )
         assert lo <= 0.0 <= hi
         assert hi - lo <= 1e-6
@@ -265,7 +264,7 @@ class TestCertifiedBracket:
         for r in trace:
             empty = r.u < hi
             mid = r.u if empty else r.l
-            direct = outer_min_subspace(f, mid, region, 2, rng=np.random.default_rng(0))
+            direct = outer_min_subspace(f, mid, region, 2)
             assert (direct.diameter <= 1e-9) == empty
             assert (r.diameter <= 1e-9) == empty
             lo, hi = r.l, r.u

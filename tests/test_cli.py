@@ -204,17 +204,19 @@ class TestSolveCommand:
         assert not out.exists()
 
     def test_determinism(self, tmp_path):
-        paths = []
-        for name in ("a.csv", "b.csv"):
-            out = tmp_path / name
+        # with both bracket ends given, --seed reaches no computation: a
+        # repeated run and every seed write the same trace bytes
+        traces = set()
+        for run, seed in enumerate([3, *range(10)]):
+            out = tmp_path / f"run{run}.csv"
             code = run_cli(
                 "solve", "--problem", "failure-3d", "--morse-index", "2",
-                "--algorithm", "fast-local", "--lower", "-1", "--seed", "3",
+                "--algorithm", "fast-local", "--lower", "-1", "--seed", str(seed),
                 "--max-iter", "8", "--trace-out", str(out),
             )
             assert code == 0
-            paths.append(out)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+            traces.add(out.read_bytes())
+        assert len(traces) == 1
 
 
 class TestReportCommand:

@@ -12,6 +12,7 @@ from saddlekit.errors import BadSignature, NonUniqueWarning, SliceEmpty, ZeroGra
 from saddlekit.geometry import (
     AffineSubspace,
     TrustRegion,
+    _off_axis_ray,
     _pull_to_level,
     _SliceProblem,
     brute_force_diameter,
@@ -29,6 +30,7 @@ from saddlekit.objectives import (
     four_lines_function,
     make_diagonal_quadratic,
     make_perturbed_quadratic,
+    make_quadratic,
 )
 
 
@@ -147,7 +149,7 @@ class TestInnerMaxDiameter:
         s = AffineSubspace(np.zeros(2), Frame(np.eye(2)))
         expect = 2.0 * np.sqrt(1.0 + np.sqrt(0.5))
         with pytest.warns(NonUniqueWarning):
-            cold = inner_max_diameter(f, s, 0.5, ball(2, 2.0), rng=np.random.default_rng(0))
+            cold = inner_max_diameter(f, s, 0.5, ball(2, 2.0))
         assert cold.diameter == pytest.approx(expect, abs=1e-9)
         assert cold.non_unique
         origin = (np.zeros(2), np.zeros(2))
@@ -155,14 +157,46 @@ class TestInnerMaxDiameter:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", NonUniqueWarning)
                 warm = inner_max_diameter(
-                    f, s, 0.5, ball(2, 2.0),
-                    rng=np.random.default_rng(0), warm_pair=origin, forcing=forcing,
+                    f, s, 0.5, ball(2, 2.0), warm_pair=origin, forcing=forcing
                 )
             assert warm.diameter == pytest.approx(expect, abs=1e-9)
             assert not warm.non_unique and not warm.empty
             if forcing is None:
-                # same seeds and rng stream: the exact retry is the cold solve
+                # the same fixed seeds: the exact retry is the cold solve
                 assert warm.diameter == cold.diameter
+
+    @pytest.mark.parametrize("forcing", [None, 0.0])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_exact_solve_escapes_a_minor_axis_along_the_off_axis_ray(self, k, forcing):
+        # the ellipse {f >= -1} has its minor axis (length 1) exactly along
+        # the first off-axis seed ray, whose seed pair is then stationary;
+        # the axis seeds still reach the major axis (length 2)
+        u0 = _off_axis_ray(k, 0)
+        q, _ = np.linalg.qr(np.column_stack([u0, np.eye(k)[:, : k - 1]]))
+        semi_axes = np.array([0.5, 1.0] + [0.75] * (k - 2))
+        f = make_quadratic(-2.0 * (q / semi_axes**2) @ q.T)
+        s = axis_subspace(k, range(k))
+        t = inner_max_diameter(f, s, -1.0, ball(k, 2.0), forcing=forcing)
+        assert t.diameter == pytest.approx(2.0, abs=1e-9)
+        assert abs(float((t.x - t.y) @ q[:, 1])) == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("forcing", [None, 0.3])
+    def test_cold_solve_reads_no_random_numbers(self, forcing):
+        # the ball centre lies below the level, so the solve seeds a
+        # feasible point first; the generator passed in changes no bit
+        f = make_diagonal_quadratic([1.0, -1.0, -3.0])
+        s = axis_subspace(3, [1, 2])
+        region = ball(np.array([0.0, 0.9, 0.0]), 1.0)
+        assert f.value(region.center) < -0.5
+        triples = [
+            inner_max_diameter(f, s, -0.5, region, rng=rng, forcing=forcing)
+            for rng in (None, np.random.default_rng(0), np.random.default_rng(1))
+        ]
+        for t in triples[1:]:
+            assert t.x.tobytes() == triples[0].x.tobytes()
+            assert t.y.tobytes() == triples[0].y.tobytes()
+            assert t.diameter == triples[0].diameter
+            assert not t.empty
 
     def test_swap_invariance(self):
         f = make_diagonal_quadratic([1.0, -1.0])
@@ -522,7 +556,7 @@ class TestBruteForce:
         h = frame.T @ f.hessian(base) @ frame
         top = f.value(base + frame @ np.linalg.solve(h, -(frame.T @ f.gradient(base))))
         level, region, res = top - offset, ball(3, 1.0), 64
-        t_inner = inner_max_diameter(f, s, level, region, rng=np.random.default_rng(seed))
+        t_inner = inner_max_diameter(f, s, level, region)
         t_bf = brute_force_diameter(f, s, level, region, res)
         rloc = np.sqrt(1.0 - float(base @ base))
         grid_error = 2.0 * np.sqrt(2.0) * (2.0 * rloc / (res - 1))

@@ -301,7 +301,7 @@ class TestOffCentre:
         # directions
         f = make_perturbed_quadratic([1.0, 0.5, -1.0, -0.5], delta)
         region = ball(np.full(4, off / 2.0), 1.0)
-        res = fast_local_solve(f, region, 2, l0, tol=1e-12, rng=np.random.default_rng(0))
+        res = fast_local_solve(f, region, 2, l0, tol=1e-12)
         assert res.converged
         assert abs(res.value_estimate) <= 1e-12
         assert np.linalg.norm(f.gradient(res.point_estimate)) <= 1e-10
@@ -326,28 +326,26 @@ class TestOffCentre:
             lambda x: q_mat.T @ h.hessian(q_mat @ x) @ q_mat,
         )
         region = ball(0.2 * u / np.linalg.norm(u), 1.0)
-        res = fast_local_solve(f, region, m, -0.1, tol=1e-12, rng=np.random.default_rng(0))
+        res = fast_local_solve(f, region, m, -0.1, tol=1e-12)
         assert res.converged
         assert abs(res.value_estimate) <= 1e-12
         assert np.linalg.norm(f.gradient(res.point_estimate)) <= 1e-10
 
 
 class TestShiftedCriticalValue:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("gap", [0.3, 0.1, 0.02])
     @pytest.mark.parametrize("c", [5.0, -3.0, 100.0])
     @pytest.mark.parametrize("base", [
         failure_3d_problem().objective,
         make_perturbed_quadratic([1.0, 0.5, -1.0, -0.5], 0.05),
     ], ids=["failure-3d", "perturbed"])
-    def test_converges_at_a_nonzero_critical_value(self, base, c, seed):
+    def test_converges_at_a_nonzero_critical_value(self, base, c, gap):
         # f + c has its critical value at c: the level reaches c in floating
         # point and stops rising, a gap that no tolerance tied to 0 would see
         f = ObjectiveFunction(
             base.dim, lambda x: base.value(x) + c, base.gradient, base.hessian
         )
-        res = fast_local_solve(
-            f, ball(base.dim, 1.0), 2, c - 0.3, tol=1e-12, rng=np.random.default_rng(seed)
-        )
+        res = fast_local_solve(f, ball(base.dim, 1.0), 2, c - gap, tol=1e-12)
         assert res.converged
         assert abs(res.value_estimate - c) <= 1e-12 * (1.0 + abs(c))
 
@@ -380,13 +378,8 @@ class TestCoordinateInvariance:
             lambda x: q_mat.T @ f.gradient(q_mat @ x + c),
             lambda x: q_mat.T @ f.hessian(q_mat @ x + c) @ q_mat,
         )
-        res_f = fast_local_solve(
-            f, ball(centre, 1.0), 2, -0.3, tol=1e-12, rng=np.random.default_rng(0)
-        )
-        res_g = fast_local_solve(
-            g, ball(q_mat.T @ (centre - c), 1.0), 2, -0.3, tol=1e-12,
-            rng=np.random.default_rng(0),
-        )
+        res_f = fast_local_solve(f, ball(centre, 1.0), 2, -0.3, tol=1e-12)
+        res_g = fast_local_solve(g, ball(q_mat.T @ (centre - c), 1.0), 2, -0.3, tol=1e-12)
         assert res_f.converged and res_g.converged
         assert abs(res_g.value_estimate - res_f.value_estimate) <= 1e-12
         mapped = q_mat @ res_g.point_estimate + c
