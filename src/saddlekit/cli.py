@@ -81,6 +81,8 @@ class RunConfig:
             v = getattr(self, name)
             if v is not None and not np.isfinite(v):
                 raise ConfigError(name, "must be finite")
+        if not self.tol > 0.0:
+            raise ConfigError("tol", "must be positive")
         if self.lower is not None and self.upper is not None and not self.lower < self.upper:
             raise ConfigError("lower", "lower bound must be below the upper bound")
         if self.max_iter < 1:
@@ -109,6 +111,17 @@ def run(config):
     center = config.center if config.center is not None else np.zeros(f.dim)
     region = TrustRegion(center, config.radius)
     m = config.morse_index
+    naive = None
+    if (config.naive_subspace and config.algorithm != "bisection"
+            and problem.naive_subspace is not None):
+        base, cols = problem.naive_subspace
+        naive = AffineSubspace(base, Frame(cols))
+        if naive.dim != m:
+            raise ConfigError(
+                "naive-subspace", f"the problem's subspace has dimension {naive.dim}, not {m}"
+            )
+        if region.boundary_distance(naive.project(center)) <= 0.0:
+            raise ConfigError("naive-subspace", "the problem's subspace misses the trust region")
 
     lower, upper = config.lower, config.upper
     if lower is None or upper is None:
@@ -141,9 +154,8 @@ def run(config):
         s_hint = triple.subspace if not triple.empty else None
 
     if config.algorithm in ("fast-local", "both"):
-        if config.naive_subspace and problem.naive_subspace is not None:
-            base, cols = problem.naive_subspace
-            s_hint = AffineSubspace(base, Frame(cols))
+        if naive is not None:
+            s_hint = naive
         result = fast_local_solve(
             f, region, m, lower,
             max_iter=config.max_iter, tol=config.tol,

@@ -1,8 +1,9 @@
 """Small dense linear-algebra substrate.
 
-QR factorization, symmetric eigendecomposition and Gram-Schmidt completion
-of orthonormal frames.  Everything here is a pure function on small dense
-arrays (n expected well below a few hundred), safe to call concurrently.
+QR factorization, symmetric eigendecomposition and completion of
+orthonormal frames by Householder QR.  Everything here is a pure function
+on small dense arrays (n expected well below a few hundred), safe to call
+concurrently.
 
 Conventions fixed across the toolkit:
 
@@ -130,42 +131,14 @@ def complete_frame(frame):
     """Complete an orthonormal (n, k) frame to a full (n, n) frame.
 
     The first k columns of the result are the input columns bit-for-bit.
-    New columns are built by projecting elementary vectors against the
-    current frame and normalizing, moving to the next elementary vector
-    whenever the projection residual norm falls below 1e-8.  Since the
-    residuals of all n elementary vectors cannot simultaneously be small,
-    this always makes progress.  The columns are filled into one
-    preallocated (n, n) matrix.
+    The other n - k are the trailing columns of the complete Householder QR
+    factorization of the input (Golub & Van Loan, *Matrix Computations*,
+    §5.2): since the leading k columns of that Q span the input's columns,
+    the trailing ones span their orthogonal complement.
     """
     v = frame.columns
     n, k = v.shape
     if k == n:
         return frame
-    out = np.empty((n, n))
-    out[:, :k] = v
-    for slot in range(k, n):
-        work = out[:, :slot]
-        if slot < 4:
-            # BLAS takes a different kernel for the transposed product of a
-            # strided view this narrow; a contiguous copy keeps the columns
-            # bit-for-bit what they were when the basis was re-stacked for
-            # every new column
-            work = np.ascontiguousarray(work)
-        for offset in range(n):
-            idx = (slot + offset) % n
-            e = np.zeros(n)
-            e[idx] = 1.0
-            # work.T @ e is row idx of work, exactly
-            r = e - work @ work[idx]
-            rn = np.linalg.norm(r)
-            if rn < 1e-8:
-                continue
-            r /= rn
-            # second projection pass keeps orthogonality near round-off
-            r -= work @ (work.T @ r)
-            r /= np.linalg.norm(r)
-            out[:, slot] = r
-            break
-        else:  # pragma: no cover - impossible for k < n
-            raise RuntimeError("frame completion failed to make progress")
-    return Frame(out)
+    q = np.linalg.qr(v, mode="complete")[0]
+    return Frame(np.hstack([v, q[:, k:]]))

@@ -137,7 +137,7 @@ def _restricted_min(f, T, U, sign=1.0):
         bound -= res.grad_norm**2 / (2.0 * evmin)
     interior = float(np.linalg.norm(res.w - sp.wc)) < sp.rloc * (1.0 - 1e-12)
     certified = evmin > 0.0 and interior and res.status == "converged"
-    return bound, sp.ambient(res.w), certified
+    return float(bound), sp.ambient(res.w), certified
 
 
 def _orthogonal_space_min(f, z, S, U):

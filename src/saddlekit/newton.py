@@ -97,8 +97,9 @@ def trust_region_minimize(
     with the objective still descending outward; the caller decides whether
     that constitutes an unbounded restriction.
 
-    Each iterate's Hessian is decomposed once, for both the convergence test
-    and the step.  ``min_curvature`` is the smallest Hessian eigenvalue at
+    Each iterate's gradient and Hessian are evaluated, and the Hessian
+    decomposed, once, for both the convergence test and every step tried
+    from it.  ``min_curvature`` is the smallest Hessian eigenvalue at
     the returned ``w``.  The tangential-boundary and ``max_iter`` exits
     evaluate that Hessian anew, except in a ``stop_below`` run, which looks
     for a point and reads no curvature; there it is nan, as on the
@@ -116,26 +117,30 @@ def trust_region_minimize(
             return float("nan")
         return float(np.linalg.eigvalsh(hessian(w))[0])
 
+    moved = True
     for _ in range(max_iter):
         if stop_below is not None and fw < stop_below:
             return MinimizeResult(w, fw, np.linalg.norm(gradient(w)), "converged")
-        g = gradient(w)
-        gn = np.linalg.norm(g)
-        on_boundary = np.linalg.norm(w - center) >= ball_radius * (1.0 - 1e-12)
-        if on_boundary:
-            outward = (w - center) / max(np.linalg.norm(w - center), 1e-300)
-            slope = float(g @ outward)
-            g_tan = g - slope * outward
-            if slope < -1e-10 * scale:
-                # wants to leave the ball and keeps descending
-                return MinimizeResult(w, fw, gn, "boundary", outward_slope=slope)
-            if np.linalg.norm(g_tan) <= 1e-11 * scale:
-                return MinimizeResult(w, fw, gn, "converged", min_curvature=curvature_at(w))
-        h = hessian(w)
-        evals, evecs = np.linalg.eigh(h)
-        evmin = float(evals[0])
-        if gn <= 1e-11 * scale and evmin >= -1e-9 * scale and not on_boundary:
-            return MinimizeResult(w, fw, gn, "converged", min_curvature=evmin)
+        if moved:
+            # a rejected step leaves w, and so everything evaluated at it, as it was
+            moved = False
+            g = gradient(w)
+            gn = np.linalg.norm(g)
+            on_boundary = np.linalg.norm(w - center) >= ball_radius * (1.0 - 1e-12)
+            if on_boundary:
+                outward = (w - center) / max(np.linalg.norm(w - center), 1e-300)
+                slope = float(g @ outward)
+                g_tan = g - slope * outward
+                if slope < -1e-10 * scale:
+                    # wants to leave the ball and keeps descending
+                    return MinimizeResult(w, fw, gn, "boundary", outward_slope=slope)
+                if np.linalg.norm(g_tan) <= 1e-11 * scale:
+                    return MinimizeResult(w, fw, gn, "converged", min_curvature=curvature_at(w))
+            h = hessian(w)
+            evals, evecs = np.linalg.eigh(h)
+            evmin = float(evals[0])
+            if gn <= 1e-11 * scale and evmin >= -1e-9 * scale and not on_boundary:
+                return MinimizeResult(w, fw, gn, "converged", min_curvature=evmin)
         s, _interior = _subproblem(g, evals, evecs, delta)
         cand, clipped = _clip_to_ball(w + s, center, ball_radius)
         step = cand - w
@@ -148,13 +153,12 @@ def trust_region_minimize(
             ratio = actual / pred
         if actual > 0.0 and ratio > 1e-4:
             w, fw = cand, fc
+            moved = True
             if ratio > 0.75 and not clipped:
                 delta = min(2.0 * delta, ball_radius)
         else:
             delta *= 0.25
             if delta < 1e-16 * ball_radius:
-                # the step was rejected, so h is still the Hessian at w
-                g = gradient(w)
-                return MinimizeResult(w, fw, np.linalg.norm(g), "converged", min_curvature=evmin)
+                return MinimizeResult(w, fw, gn, "converged", min_curvature=evmin)
     g = gradient(w)
     return MinimizeResult(w, fw, np.linalg.norm(g), "max_iter", min_curvature=curvature_at(w))

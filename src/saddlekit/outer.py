@@ -28,7 +28,7 @@ def hessian_eigenspace(f, x, m):
     """Subspace through x spanned by the Hessian eigenvectors of the m smallest eigenvalues."""
     h = f.hessian(x)
     # ascending order: the first m columns belong to the m smallest eigenvalues
-    return AffineSubspace.from_span(x, np.linalg.eigh(0.5 * (h + h.T))[1][:, :m])
+    return AffineSubspace(x, Frame(np.linalg.eigh(0.5 * (h + h.T))[1][:, :m]))
 
 
 def default_initial_subspace(f, U, m):
@@ -36,7 +36,7 @@ def default_initial_subspace(f, U, m):
     try:
         return hessian_eigenspace(f, U.center, m)
     except (NonFiniteValue, np.linalg.LinAlgError):
-        return AffineSubspace.from_span(U.center, np.eye(f.dim)[:, f.dim - m:])
+        return AffineSubspace(U.center, Frame(np.eye(f.dim)[:, f.dim - m:]))
 
 
 def _rotated(v, comp, i, j, theta):
@@ -76,10 +76,7 @@ def outer_min_subspace(
         raise ValueError(f"morse index must satisfy 1 <= m <= {f.dim}")
     n = f.dim
 
-    if S0 is None:
-        S = default_initial_subspace(f, U, m)
-    else:
-        S = AffineSubspace.from_span(S0.base, S0.frame.columns)
+    S = default_initial_subspace(f, U, m) if S0 is None else S0
     if S.dim != m:
         raise ValueError("initial subspace dimension does not match the index")
 

@@ -53,6 +53,37 @@ class TestSolveCommand:
         assert abs(trace[-1].l) < 1e-10
         assert trace.critical_value == 0.0
 
+    def test_naive_subspace_missing_the_region_is_a_config_error(self, capsys):
+        code = run_cli(
+            "solve", "--problem", "failure-3d", "--morse-index", "2",
+            "--algorithm", "fast-local", "--naive-subspace",
+            "--center", "5,0,0", "--radius", "1",
+        )
+        assert code == 1
+        assert "naive-subspace" in capsys.readouterr().err
+
+    def test_naive_subspace_of_another_index_is_a_config_error(self, capsys):
+        code = run_cli(
+            "solve", "--problem", "failure-3d", "--morse-index", "1",
+            "--naive-subspace", "--lower", "-1",
+        )
+        assert code == 1
+        assert "naive-subspace" in capsys.readouterr().err
+
+    def test_nonpositive_tol_is_a_config_error(self, capsys):
+        code = run_cli(
+            "solve", "--problem", "failure-3d", "--morse-index", "2", "--tol", "-1",
+        )
+        assert code == 1
+        assert "tol" in capsys.readouterr().err
+
+    def test_lower_bound_violation_prints_plain_floats(self, capsys):
+        code = run_cli("solve", "--problem", "quadratic-diag:1,1", "--morse-index", "1")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "LowerBoundViolated" in err
+        assert "np.float64" not in err
+
     def test_missing_morse_index(self, capsys):
         code = run_cli("solve", "--problem", "quadratic-diag:1,-1")
         assert code == 1

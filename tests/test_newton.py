@@ -45,3 +45,22 @@ class TestMinCurvature:
         assert res.status == "max_iter"
         assert len(calls) == 1
         assert np.isnan(res.min_curvature)
+
+
+class TestRejectedSteps:
+    def test_rejected_steps_reuse_the_iterate_evaluations(self):
+        # a value quantised to 1e-6 cannot show the tiny decrease of the
+        # steps near the minimum, so they are rejected and the radius shrinks
+        # to its floor; none of those rejections moves w
+        calls = []
+        value, gradient, hessian = cosh_bowl(calls)
+
+        def quantised(w):
+            return float(np.floor(value(w) / 1e-6) * 1e-6)
+
+        res = trust_region_minimize(quantised, gradient, hessian, [0.8, -0.5], np.zeros(2), 2.0)
+        assert res.status == "converged"
+        assert res.grad_norm > 1e-11  # stopped by the radius floor, not the gradient
+        iterates = {tuple(w) for w in calls}
+        assert len(calls) == len(iterates)
+        assert res.grad_norm == np.linalg.norm(np.sinh(res.w))
