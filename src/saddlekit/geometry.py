@@ -389,7 +389,8 @@ def _polish_pair(sp, l, p, q, polish_tol):
     Both level constraints are taken active; skipped when either point is
     pinned to the ball boundary instead.  Returns the refined (p, q), or None
     when the polish fails, including when a Newton iterate leaves the
-    objective's domain or makes it non-finite.
+    objective's domain or makes it non-finite, or narrows (p, q) by more than
+    1e-6 (1 + |p - q|): Newton can land on the system's root p = q.
     """
     k = p.size
     ball_slack = 1e-9 * sp.rloc
@@ -427,6 +428,7 @@ def _polish_pair(sp, l, p, q, polish_tol):
 
         return fvec, jacobian
 
+    sep = float(np.linalg.norm(p - q))
     state = np.concatenate([p, q, [mu_p, mu_q]])
     try:
         state, fvec = _newton(system, state, system(state, (gp, gq)), polish_tol)
@@ -434,13 +436,15 @@ def _polish_pair(sp, l, p, q, polish_tol):
         # a Newton iterate left the objective's domain; the ascent's pair stands
         return None
     p, q = state[:k], state[k : 2 * k]
-    # polished points must stay on the slice and inside the ball
+    # polished points must stay on the slice and inside the ball, and not narrow
     if min(fvec[2 * k], fvec[2 * k + 1]) < -1e-8 * (1.0 + abs(l)):
         return None
     if (
         float(np.linalg.norm(p - sp.wc)) > sp.rloc * (1.0 + 1e-9)
         or float(np.linalg.norm(q - sp.wc)) > sp.rloc * (1.0 + 1e-9)
     ):
+        return None
+    if float(np.linalg.norm(p - q)) < sep - 1e-6 * (1.0 + sep):
         return None
     return p, q
 
@@ -577,10 +581,8 @@ def _widest_pair(f, S, l, U, warm_pair, feas_tol, forcing, detect_nonunique):
         if polish:
             polished = _polish_pair(sp, l, p, q, polish_tol)
             if polished is not None:
-                pp, qq = polished
-                new_sep = float(np.linalg.norm(pp - qq))
-                if new_sep >= sep - 1e-6 * (1.0 + sep):
-                    p, q, sep = pp, qq, new_sep
+                p, q = polished
+                sep = float(np.linalg.norm(p - q))
         results.append((sep, p, q, converged))
 
     if not results:

@@ -246,7 +246,8 @@ def fast_local_solve(
     failure on problems like ``failure-3d``.  ``critical_value``, when known,
     is stored on the trace and is the reference of the rate measurement.
     Raises :class:`Unbounded` or :class:`LowerBoundViolated` when the
-    iteration leaves its basin.  The solve draws no random numbers;
+    iteration leaves its basin, and :class:`SliceEmpty` when the first slice
+    is empty (``l0`` above the critical value).  The solve draws no random numbers;
     ``rng`` is accepted and not read.
     """
     if not (1 <= m <= f.dim):
@@ -267,6 +268,8 @@ def fast_local_solve(
     for i in range(max_iter):
         iterations = i + 1
         triple = inner_max_diameter(f, s_hint, l, U, warm_pair=warm_pair, forcing=inner_forcing)
+        if triple.empty and i == 0:
+            raise SliceEmpty(f"the first slice at level {l!r} is empty")
         z = triple.midpoint
         if triple.empty or triple.diameter <= 64.0 * np.finfo(float).eps * np.max(np.abs(z)):
             # the slice is empty, or a few ulps of the midpoint's coordinates

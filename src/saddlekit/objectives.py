@@ -360,7 +360,8 @@ def problem_from_name(name):
     """Resolve a CLI problem name to a TestProblem.
 
     Accepted forms: ``quadratic-diag:a1,a2,...``, ``failure-3d``,
-    ``four-lines`` and ``cubic-saddle``.
+    ``four-lines`` and ``cubic-saddle``.  Raises ValueError for an unknown
+    name, and for coefficients whose Hessian entries ``2 a`` are not finite.
     """
     name = name.strip()
     if name == "failure-3d":
@@ -377,5 +378,7 @@ def problem_from_name(name):
             raise ValueError(f"bad coefficient list in {name!r}: {exc}") from None
         if not coeffs:
             raise ValueError(f"no coefficients given in {name!r}")
+        if not all(np.isfinite(2.0 * a) for a in coeffs):
+            raise ValueError(f"coefficients in {name!r} give a non-finite Hessian 2a")
         return diagonal_problem(coeffs)
     raise ValueError(f"unknown problem name {name!r}")

@@ -96,35 +96,26 @@ def outer_min_subspace(
             break
         base = best.midpoint
         v = best.subspace.frame.columns
-        comp = complete_frame(Frame(v)).columns[:, m:]
+        comp = complete_frame(best.subspace.frame).columns[:, m:]
+        # rotate frame column i into complement column j, then shift along j (i None)
+        moves = [(i, j, s * step) for i in range(m) for j in range(n - m) for s in (1.0, -1.0)]
+        moves += [(None, j, s * trans_step) for j in range(n - m) for s in (1.0, -1.0)]
         improved = False
-        for i in range(m):
-            for j in range(n - m):
-                for sign in (1.0, -1.0):
-                    vr, cr = _rotated(v, comp, i, j, sign * step)
-                    s_try = AffineSubspace(base, Frame(vr))
-                    trial = inner_max_diameter(f, s_try, l, U, warm_pair=(best.x, best.y))
-                    if trial.empty or trial.diameter == 0.0:
-                        return trial
-                    if trial.diameter < best.diameter - imp_tol:
-                        best = trial
-                        v, comp = vr, cr
-                        improved = True
-        # shifting inside the subspace changes nothing; search the complement
-        for j in range(n - m):
-            for sign in (1.0, -1.0):
-                shifted = base + sign * trans_step * comp[:, j]
-                try:
-                    s_try = AffineSubspace(shifted, Frame(v))
-                    trial = inner_max_diameter(f, s_try, l, U, warm_pair=(best.x, best.y))
-                except ValueError:  # shifted subspace misses the region
-                    continue
-                if trial.empty or trial.diameter == 0.0:
-                    return trial
-                if trial.diameter < best.diameter - imp_tol:
-                    best = trial
-                    base = shifted
-                    improved = True
+        for i, j, t in moves:
+            if i is None:
+                b, vr, cr = base + t * comp[:, j], v, comp
+            else:
+                b, (vr, cr) = base, _rotated(v, comp, i, j, t)
+            try:
+                s_try = AffineSubspace(b, Frame(vr))
+                trial = inner_max_diameter(f, s_try, l, U, warm_pair=(best.x, best.y))
+            except ValueError:  # a shifted subspace can miss the region
+                continue
+            if trial.empty or trial.diameter == 0.0:
+                return trial
+            if trial.diameter < best.diameter - imp_tol:
+                best, base, v, comp = trial, b, vr, cr
+                improved = True
         if not improved:
             step *= 0.5
             trans_step *= 0.5

@@ -216,20 +216,22 @@ class TestCertifiedBracket:
         assert abs(trace[0].diameter - cold) <= 1e-12 * (1.0 + cold)
 
     @pytest.mark.parametrize(
-        "f,region,m,l0,u0,max_iter,expected",
+        "f,region,m,l0,u0,max_iter,expected,l_star",
         [
+            # l* = 0 on the line x = y = 0 through the centre
             (four_lines_function().objective, ball(3, 0.5), 2, -1.0, 1.3, 3,
-             (-0.425, -0.13749999999999998)),
+             (-0.13749999999999998, 0.15000000000000002), 0.0),
+            # the saddle lies outside the ball, the restriction's l* inside
             (make_diagonal_quadratic([1.0, -1.0]), ball([0.0, 3.0], 1.0), 1, -20.0, 1.0, 6,
-             (-15.078125, -14.75)),
+             (-15.078125, -14.75), None),
             # no Hessian, and a zero finite-difference one
             (ObjectiveFunction(dim=2, f=lambda x: 3.0, grad=lambda x: np.zeros(2)),
-             ball(2, 2.0), 1, 0.0, 1.0, 8, (0.99609375, 1.0)),
+             ball(2, 2.0), 1, 0.0, 1.0, 8, (0.99609375, 1.0), None),
         ],
         ids=["four-lines", "saddle-outside-ball", "constant"],
     )
     def test_refused_certificate_falls_back_to_the_search(
-        self, f, region, m, l0, u0, max_iter, expected, monkeypatch
+        self, f, region, m, l0, u0, max_iter, expected, l_star, monkeypatch
     ):
         # expected brackets are those of the search alone
         assert certificate(f, region, m) is None
@@ -237,6 +239,8 @@ class TestCertifiedBracket:
         bracket, _, trace = bisection_solve(f, region, m, l0, u0, max_iter=max_iter)
         assert len(searched) == len(trace) == max_iter
         assert bracket == expected
+        if l_star is not None:
+            assert bracket[0] <= l_star <= bracket[1]
 
     def test_off_centre_cubic_saddle(self, monkeypatch):
         # the benchmark's cubic-saddle bracket with the centre moved off the

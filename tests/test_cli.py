@@ -84,6 +84,39 @@ class TestSolveCommand:
         assert "LowerBoundViolated" in err
         assert "np.float64" not in err
 
+    def test_iteration_cap_exits_not_converged(self, capsys):
+        code = run_cli(
+            "solve", "--problem", "failure-3d", "--morse-index", "2",
+            "--algorithm", "fast-local", "--lower", "-1", "--max-iter", "1",
+        )
+        assert code == 2
+        assert "level estimate" in capsys.readouterr().out
+
+    def test_domain_violation_exits_not_converged(self, capsys):
+        code = run_cli(
+            "solve", "--problem", "four-lines", "--morse-index", "2",
+            "--algorithm", "fast-local", "--lower", "-1", "--max-iter", "3",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "solver failure: DomainViolation" in err
+        assert "Traceback" not in err
+
+    def test_empty_first_slice_is_a_structural_failure(self, capsys):
+        # l* = 0 lies below the given lower bound 0.5
+        code = run_cli(
+            "solve", "--problem", "cubic-saddle", "--morse-index", "1",
+            "--algorithm", "fast-local", "--lower", "0.5",
+        )
+        assert code == 3
+        assert "structural failure: SliceEmpty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coeffs", ["1,nan", "1,inf", "1e308,-1e308"])
+    def test_non_finite_coefficients_are_a_config_error(self, coeffs, capsys):
+        code = run_cli("solve", "--problem", "quadratic-diag:" + coeffs, "--morse-index", "1")
+        assert code == 1
+        assert "config error: problem:" in capsys.readouterr().err
+
     def test_missing_morse_index(self, capsys):
         code = run_cli("solve", "--problem", "quadratic-diag:1,-1")
         assert code == 1

@@ -26,6 +26,7 @@ from saddlekit.geometry import (
 from saddlekit.linalg import Frame
 from saddlekit.objectives import (
     ObjectiveFunction,
+    cubic_saddle_problem,
     failure_3d_problem,
     four_lines_function,
     make_diagonal_quadratic,
@@ -231,6 +232,80 @@ class TestInnerMaxDiameter:
         lo = 2.0 * np.sqrt(lvl / (coeffs[1] - delta))
         hi = 2.0 * np.sqrt(lvl / (coeffs[1] + delta))
         assert lo - 1e-9 <= t.diameter <= hi + 1e-9
+
+
+class TestWarmSolveKeepsItsStart:
+    """The pulled warm pair is feasible on the slice, so a warm exact solve
+    reports at least its width (up to the polish's 1e-6 slack) and never an
+    empty or diameter-0 slice.  The pair's stationarity system also has the
+    narrower roots p = q and, on an ellipse, the minor axis."""
+
+    @staticmethod
+    def pulled_separation(f, s, level, region, warm):
+        sp = _SliceProblem(f, s, region)
+        tol = 1e-12 * (1.0 + abs(level))
+        p, q = (_pull_to_level(sp, sp.clip(s.to_local(w)), level, tol) for w in warm)
+        return None if p is None or q is None else float(np.linalg.norm(p - q))
+
+    def test_four_lines_polish_keeps_the_pulled_width(self):
+        # the polish-first branch used to keep a pair Newton had narrowed
+        # from 0.729 to 0.665; the ascent from the pulled pair reaches the
+        # cold solve's 0.746
+        f = four_lines_function().objective
+        region = TrustRegion(np.zeros(3), 0.5)
+        s = AffineSubspace(np.array([0.0, 0.0, 0.0625]), Frame(np.eye(3)[:, :2]))
+        w = np.array([0.26, 0.26, 0.0])
+        sep = self.pulled_separation(f, s, -0.425, region, (w, -w))
+        assert sep == pytest.approx(0.729226, abs=1e-6)
+        warm = inner_max_diameter(f, s, -0.425, region, warm_pair=(w, -w))
+        with pytest.warns(NonUniqueWarning):
+            cold = inner_max_diameter(f, s, -0.425, region)
+        assert cold.diameter == pytest.approx(0.745899, abs=1e-6)
+        assert warm.diameter == pytest.approx(cold.diameter, abs=1e-9)
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(
+        problem=st.sampled_from(["rotated-quadratic", "cubic-saddle", "four-lines"]),
+        seed=st.integers(0, 2**32 - 1),
+        depth=st.floats(0.02, 0.8),
+        tilt=st.floats(0.0, 0.3),
+        spread=st.floats(0.05, 0.9),
+    )
+    def test_reported_diameter_is_at_least_the_pulled_warm_pair(
+        self, problem, seed, depth, tilt, spread
+    ):
+        rng = np.random.default_rng(seed)
+        if problem == "rotated-quadratic":
+            f0 = make_diagonal_quadratic([1.0, 2.0, -1.0, -3.0])
+            q_mat, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+            f = ObjectiveFunction(
+                4,
+                lambda y: f0.value(q_mat @ y),
+                lambda y: q_mat.T @ f0.gradient(q_mat @ y),
+                lambda y: q_mat.T @ f0.hessian(q_mat @ y) @ q_mat,
+            )
+            neg, radius = q_mat.T[:, 2:], 1.0
+        elif problem == "cubic-saddle":
+            f, neg, radius = cubic_saddle_problem().objective, np.eye(2)[:, 1:], 1.0
+        else:
+            f, neg, radius = four_lines_function().objective, np.eye(3)[:, :2], 0.5
+        n, m = neg.shape
+        # a plane tilted off the negative directions, off the centre, with a
+        # warm pair on it around its base
+        frame = np.linalg.qr(neg + tilt * rng.standard_normal((n, m)))[0]
+        base = rng.standard_normal(n)
+        base *= 0.3 * radius * rng.uniform() / np.linalg.norm(base)
+        s = AffineSubspace(base, Frame(frame))
+        region = ball(n, radius)
+        level = f.value(base) - depth
+        d = frame @ rng.standard_normal(m)
+        d *= spread * radius / np.linalg.norm(d)
+        warm = (base + d, base - d)
+        sep = self.pulled_separation(f, s, level, region, warm)
+        t = inner_max_diameter(f, s, level, region, warm_pair=warm)
+        assert sep is not None
+        assert not t.empty and t.diameter > 0.0
+        assert t.diameter >= sep - 1e-6 * (1.0 + sep)
 
 
 class TestPullToLevel:

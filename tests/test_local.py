@@ -265,6 +265,13 @@ class TestFastLocal:
         with pytest.raises((LowerBoundViolated, SliceEmpty, Unbounded)):
             fast_local_solve(f, ball(2, 2.0), 1, 0.5, max_iter=5)
 
+    def test_empty_first_slice_is_not_convergence(self):
+        # l0 = 0.5 lies above l* = 0: the first slice is empty, and no level
+        # was ever raised to the critical value
+        f = cubic_saddle_problem().objective
+        with pytest.raises(SliceEmpty, match="first slice"):
+            fast_local_solve(f, ball(2, 1.0), 1, 0.5)
+
     def test_midpoint_contraction(self):
         h = make_perturbed_quadratic([1.0, -1.0, -3.0], 1e-3)
         res = fast_local_solve(h, ball(3, 1.5), 2, -0.3, max_iter=8, tol=1e-13)

@@ -46,6 +46,18 @@ class TestMinCurvature:
         assert len(calls) == 1
         assert np.isnan(res.min_curvature)
 
+    def test_tangential_boundary_exit_reads_the_curvature(self):
+        # |w - c|^2 from w0 = c on the unit sphere: the start is on the
+        # boundary with no gradient at all
+        c = np.array([0.6, 0.8])
+        res = trust_region_minimize(
+            lambda w: float((w - c) @ (w - c)), lambda w: 2.0 * (w - c),
+            lambda w: 2.0 * np.eye(2), c, np.zeros(2), 1.0,
+        )
+        assert res.status == "converged"
+        assert np.array_equal(res.w, c)
+        assert res.min_curvature == 2.0
+
 
 class TestRejectedSteps:
     def test_rejected_steps_reuse_the_iterate_evaluations(self):

@@ -231,6 +231,13 @@ class TestCorpus:
         with pytest.raises(ValueError):
             problem_from_name("does-not-exist")
 
+    @pytest.mark.parametrize("body", ["1,nan", "1,inf", "-inf", "1e308,-1e308"])
+    def test_non_finite_hessian_rejected(self, body):
+        # 1e308 is finite, but the Hessian entry 2e308 overflows
+        with pytest.raises(ValueError, match="non-finite Hessian"):
+            problem_from_name("quadratic-diag:" + body)
+        assert problem_from_name("quadratic-diag:1,-8e307").objective.dim == 2
+
     def test_failure_3d_naive_plane(self):
         base, cols = failure_3d_problem().naive_subspace
         # the plane {x1 = x3}

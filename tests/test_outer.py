@@ -5,7 +5,7 @@ from conftest import ball
 from saddlekit.geometry import AffineSubspace, quadratic_minmax_exact
 from saddlekit.linalg import Frame
 from saddlekit.objectives import ObjectiveFunction, make_diagonal_quadratic
-from saddlekit.outer import outer_min_subspace
+from saddlekit.outer import default_initial_subspace, outer_min_subspace
 
 
 def conjugated(f, q):
@@ -71,3 +71,17 @@ class TestOuterMinSubspace:
         f = make_diagonal_quadratic([1.0, -1.0])
         with pytest.raises(ValueError):
             outer_min_subspace(f, -1.0, ball(2, 2.0), 3)
+
+
+class TestDefaultInitialSubspace:
+    def test_non_finite_hessian_falls_back_to_the_last_axes(self):
+        f = ObjectiveFunction(
+            dim=4,
+            f=lambda x: float(x @ x),
+            grad=lambda x: 2.0 * x,
+            hess=lambda x: np.full((4, 4), np.nan),
+        )
+        center = np.array([0.1, 0.2, 0.3, 0.4])
+        s = default_initial_subspace(f, ball(center, 1.0), 2)
+        assert np.array_equal(s.base, center)
+        assert np.array_equal(s.frame.columns, np.eye(4)[:, 2:])
