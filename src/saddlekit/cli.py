@@ -17,6 +17,7 @@ command line), 2 not converged, 3 structural failure (unbounded restriction
 import argparse
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -248,6 +249,11 @@ def _build_parser():
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """A solver warning as one plain line, without its source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def _cmd_solve(args):
     if args.problem is None:
         print("config error: problem: a problem name is required", file=sys.stderr)
@@ -275,7 +281,9 @@ def _cmd_solve(args):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        code, lines = run(config)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            code, lines = run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

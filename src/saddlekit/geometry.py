@@ -387,10 +387,13 @@ def _polish_pair(sp, l, p, q, polish_tol):
     """Newton refinement of the stationarity system for the widest pair.
 
     Both level constraints are taken active; skipped when either point is
-    pinned to the ball boundary instead.  Returns the refined (p, q), or None
-    when the polish fails, including when a Newton iterate leaves the
-    objective's domain or makes it non-finite, or narrows (p, q) by more than
-    1e-6 (1 + |p - q|): Newton can land on the system's root p = q.
+    pinned to the ball boundary instead.  Returns the refined (p, q,
+    certified), or None when the polish fails, including when a Newton
+    iterate leaves the objective's domain or makes it non-finite, or narrows
+    (p, q) by more than 1e-6 (1 + |p - q|): Newton can land on the system's
+    root p = q.  ``certified`` holds on a line slice (k = 1) whose residual
+    met ``polish_tol`` with both multipliers positive, which makes the pair
+    a strict local maximum (see :func:`inner_max_diameter`).
     """
     k = p.size
     ball_slack = 1e-9 * sp.rloc
@@ -436,6 +439,11 @@ def _polish_pair(sp, l, p, q, polish_tol):
         # a Newton iterate left the objective's domain; the ascent's pair stands
         return None
     p, q = state[:k], state[k : 2 * k]
+    certified = (
+        k == 1
+        and float(np.max(np.abs(fvec))) <= polish_tol
+        and min(state[2 * k], state[2 * k + 1]) > 0.0
+    )
     # polished points must stay on the slice and inside the ball, and not narrow
     if min(fvec[2 * k], fvec[2 * k + 1]) < -1e-8 * (1.0 + abs(l)):
         return None
@@ -446,7 +454,7 @@ def _polish_pair(sp, l, p, q, polish_tol):
         return None
     if float(np.linalg.norm(p - q)) < sep - 1e-6 * (1.0 + sep):
         return None
-    return p, q
+    return p, q, certified
 
 
 def _canonical_pair(x, y):
@@ -491,7 +499,16 @@ def inner_max_diameter(f, S, l, U, rng=None, warm_pair=None, forcing=None):
     ``warm_pair`` restarts from a previous ambient pair and skips the
     seeding (used by the outer rotation search and, from one iteration to
     the next, by the local driver).  A warm pair that cannot be pulled onto
-    the level is dropped and the slice solved cold.  Only a solve started
+    the level is dropped and the slice solved cold.  The warm exact solve
+    polishes the pulled pair first.  On a line slice (k = 1) a polish that
+    meets its residual tolerance with both multipliers positive is
+    certified and returned as it stands: with both level constraints active
+    the tangent space is {0}, so the first-order conditions are sufficient
+    for a strict local maximum.  Otherwise a two-step probe decides whether
+    the full ascent runs.  For k >= 2 the probe stays: a KKT-inertia test in
+    its place accepted pairs the probe still widened (up to 7e-3 on
+    ``four-lines``, whose Hessian is a finite difference) and costs two
+    Hessians per solve.  Only a solve started
     cold checks the slice for several widest pairs (``non_unique``, with a
     :class:`NonUniqueWarning`).
 
@@ -559,12 +576,17 @@ def _widest_pair(f, S, l, U, warm_pair, feas_tol, forcing, detect_nonunique):
         if p is None or q is None:
             continue
         if warm_pair is not None and polish:
-            # a warm pair is usually already stationary: polish first and only
-            # fall back to the full ascent when a probe still finds progress
+            # a warm pair is usually already stationary: polish first.  On a
+            # line a certified polish is a strict local maximum and stands;
+            # otherwise fall back to the full ascent when a probe still finds
+            # progress (see the docstring for why k >= 2 keeps the probe)
             polished = _polish_pair(sp, l, p, q, polish_tol)
             if polished is not None:
-                pp, qq = polished
+                pp, qq, certified = polished
                 sep0 = float(np.linalg.norm(pp - qq))
+                if certified:
+                    results.append((sep0, pp, qq, True))
+                    continue
                 probe_step = 0.1 * sp.rloc
                 p2, _ = _improve_point(
                     sp, l, pp, qq, feas_tol, probe_step, max_steps=2, max_backtracks=6
@@ -581,7 +603,7 @@ def _widest_pair(f, S, l, U, warm_pair, feas_tol, forcing, detect_nonunique):
         if polish:
             polished = _polish_pair(sp, l, p, q, polish_tol)
             if polished is not None:
-                p, q = polished
+                p, q, _ = polished
                 sep = float(np.linalg.norm(p - q))
         results.append((sep, p, q, converged))
 

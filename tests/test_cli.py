@@ -39,6 +39,19 @@ class TestSolveCommand:
         assert code == 3
         assert "Unbounded" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("always::saddlekit.errors.NonUniqueWarning")
+    def test_solver_warning_prints_as_one_plain_line(self, capsys):
+        # the README command: the warning names no source file or code line
+        code = run_cli(
+            "solve", "--problem", "failure-3d", "--morse-index", "2",
+            "--algorithm", "fast-local", "--naive-subspace",
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "structural failure: Unbounded" in err
+        assert err.count("warning: slice has multiple separation-realizing pairs\n") == 1
+        assert ".py:" not in err
+
     def test_fast_local_converges(self, tmp_path):
         out = tmp_path / "t.json"
         code = run_cli(

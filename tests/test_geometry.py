@@ -263,9 +263,77 @@ class TestWarmSolveKeepsItsStart:
         assert cold.diameter == pytest.approx(0.745899, abs=1e-6)
         assert warm.diameter == pytest.approx(cold.diameter, abs=1e-9)
 
-    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    def test_stationary_pair_with_a_negative_multiplier_is_widened(self):
+        # on the x1 axis the slice of x1^2 - x2^2 >= 0.25 in the unit ball is
+        # [-1, -0.5] and [0.5, 1]; the pair (±0.5, 0) across the gap solves
+        # the stationarity system with multiplier -1: the narrowest pair, not
+        # a certified widest one
+        f = make_diagonal_quadratic([1.0, -1.0])
+        w = np.array([0.5, 0.0])
+        t = inner_max_diameter(f, axis_subspace(2, [0]), 0.25, ball(2, 1.0), warm_pair=(w, -w))
+        assert t.diameter == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("x1, level, warm_level", [
+        (0.0, -0.1, -0.12), (0.1, -0.1, -0.08), (0.05, -0.3, -0.29),
+    ])
+    def test_certified_line_solve_skips_the_ascent(self, x1, level, warm_level):
+        # the previous level's widest pair, as the bisection hands it on: a
+        # pull, a Newton polish and no probe or ascent (32-42 value calls
+        # with them, 10-12 without)
+        f = cubic_saddle_problem().objective
+        s = axis_subspace(2, [1], base=[x1, 0.0])
+        region = ball(2, 1.0)
+        prev = inner_max_diameter(f, s, warm_level, region)
+        calls = [0]
+
+        def value(x):
+            calls[0] += 1
+            return f.f(x)
+
+        counted = dataclasses.replace(f, f=value)
+        warm = inner_max_diameter(counted, s, level, region, warm_pair=(prev.x, prev.y))
+        cold = inner_max_diameter(f, s, level, region)
+        assert calls[0] <= 20
+        assert warm.diameter == pytest.approx(cold.diameter, abs=1e-12)
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
     @given(
-        problem=st.sampled_from(["rotated-quadratic", "cubic-saddle", "four-lines"]),
+        seed=st.integers(0, 2**32 - 1),
+        angle=st.floats(0.0, 0.5),
+        depth=st.floats(0.005, 0.1),
+        spread=st.floats(0.5, 1.5),
+    )
+    def test_certified_line_diameter_is_the_cold_diameter(self, seed, angle, depth, spread):
+        """On a concave line slice, an interval, the only stationary pair
+        with positive multipliers is its two ends."""
+        rng = np.random.default_rng(seed)
+        q_mat, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        a = q_mat.T @ np.diag([2.0, 4.0, -2.0, -6.0]) @ q_mat
+        f = make_quadratic(0.5 * (a + a.T))
+        # within 0.5 rad of the negative plane the second derivative along
+        # the line is at most 4 sin^2 0.5 - 2 cos^2 0.5 < 0
+        u_neg = q_mat.T[:, 2:] @ _off_axis_ray(2, 0)
+        u_pos = q_mat.T[:, :2] @ _off_axis_ray(2, 1)
+        d = np.cos(angle) * u_neg + np.sin(angle) * u_pos
+        base = rng.standard_normal(4)
+        base *= 0.1 * rng.uniform() / np.linalg.norm(base)
+        s = AffineSubspace(base, Frame(d[:, None]))
+        region = ball(4, 2.0)
+        curv = 0.5 * float(d @ f.hessian(base) @ d)
+        vertex = base - (float(d @ f.gradient(base)) / (2.0 * curv)) * d
+        level = f.value(vertex) - depth
+        half = np.sqrt(depth / -curv)
+        warm = (vertex + spread * half * d, vertex - spread * half * d)
+        t = inner_max_diameter(f, s, level, region, warm_pair=warm)
+        cold = inner_max_diameter(f, s, level, region)
+        assert cold.diameter == pytest.approx(2.0 * half, rel=1e-6)
+        assert t.diameter == pytest.approx(cold.diameter, abs=1e-6 * (1.0 + cold.diameter))
+
+    @settings(max_examples=50, derandomize=True, database=None, deadline=None)
+    @given(
+        problem=st.sampled_from(
+            ["rotated-quadratic", "rotated-quadratic-line", "cubic-saddle", "four-lines"]
+        ),
         seed=st.integers(0, 2**32 - 1),
         depth=st.floats(0.02, 0.8),
         tilt=st.floats(0.0, 0.3),
@@ -275,7 +343,7 @@ class TestWarmSolveKeepsItsStart:
         self, problem, seed, depth, tilt, spread
     ):
         rng = np.random.default_rng(seed)
-        if problem == "rotated-quadratic":
+        if problem.startswith("rotated-quadratic"):
             f0 = make_diagonal_quadratic([1.0, 2.0, -1.0, -3.0])
             q_mat, _ = np.linalg.qr(rng.standard_normal((4, 4)))
             f = ObjectiveFunction(
@@ -284,7 +352,8 @@ class TestWarmSolveKeepsItsStart:
                 lambda y: q_mat.T @ f0.gradient(q_mat @ y),
                 lambda y: q_mat.T @ f0.hessian(q_mat @ y) @ q_mat,
             )
-            neg, radius = q_mat.T[:, 2:], 1.0
+            neg = q_mat.T[:, 2:] if problem == "rotated-quadratic" else q_mat.T[:, 2:3]
+            radius = 1.0
         elif problem == "cubic-saddle":
             f, neg, radius = cubic_saddle_problem().objective, np.eye(2)[:, 1:], 1.0
         else:
