@@ -161,7 +161,7 @@ def _model_pair(f, S, l, U):
     try:
         gap = f.value(y) - l
         h = f.hessian(y)
-        evals, evecs = np.linalg.eigh(frame.T @ (0.5 * (h + h.T)) @ frame)
+        evals, evecs = np.linalg.eigh(frame.T @ h @ frame)
     except (DomainViolation, NonFiniteValue, np.linalg.LinAlgError):
         return None
     if evals[-1] >= 0.0 or gap <= 0.0:

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .kernels import max_separation_pair
 from .linalg import Frame, orthonormalize
-from .newton import trust_region_minimize
+from .newton import _clip_to_ball, trust_region_minimize
 
 __all__ = [
     "AffineSubspace",
@@ -168,11 +168,7 @@ class _SliceProblem:
         return self.base + self.v @ w
 
     def clip(self, w):
-        d = w - self.wc
-        nd = float(np.linalg.norm(d))
-        if nd <= self.rloc:
-            return w
-        return self.wc + (self.rloc / nd) * d
+        return _clip_to_ball(w, self.wc, self.rloc)[0]
 
 
 def _pull_to_level(sp, w, l, feas_tol, v=None):
@@ -483,16 +479,16 @@ def inner_max_diameter(f, S, l, U, rng=None, warm_pair=None, forcing=None):
     other by projected steps that track the level boundary.  Returns a
     diameter-0 triple flagged ``empty`` when the slice contains no point.
 
-    ``forcing=None`` is the exact solve: seeds along the ±frame directions
-    plus two fixed off-axis rays (2k+2 starts), an ascent run until a sweep
+    ``forcing=None`` is the exact solve: seeds along each frame axis once
+    plus two fixed off-axis rays (k+2 starts), an ascent run until a sweep
     gains less than 1e-11 (relative), and a Newton polish of the
     stationarity system down to a residual of 1e-13 (1 + |l|).  A number is
     the local driver's solve.  A positive one is inexact: the first
-    off-axis ray only, no polish, and after seeding the slice radius rho is
-    measured from the seed separation and the ascent is stalled at a
-    progress threshold of order (forcing * rho^2)^2, which leaves a midpoint
-    error of order forcing * rho^2, i.e. proportional to the level gap still
-    to climb.
+    off-axis ray only, no polish, and the seed pair is pulled onto the level
+    once; the slice radius rho is measured from the pulled pair's separation
+    and the ascent is stalled at a progress threshold of order
+    (forcing * rho^2)^2, which leaves a midpoint error of order
+    forcing * rho^2, i.e. proportional to the level gap still to climb.
     Tolerances then track the slice rather than any assumed critical value.
     ``forcing=0`` seeds, ascends and polishes as the exact solve does.
 
@@ -543,28 +539,29 @@ def _widest_pair(f, S, l, U, warm_pair, feas_tol, forcing, detect_nonunique):
         anchor = _find_feasible(sp, l, feas_tol)
         if anchor is None:
             return _empty_triple(sp)
-        # axis seeds are degenerate on axis-symmetric slices, where they pin
-        # the pair to an exactly symmetric configuration, so off-axis rays
-        # join them; the inexact solve seeds from the first off-axis ray only
+        # a ray and its reverse give one seed pair; axis seeds are degenerate
+        # on axis-symmetric slices, where they pin the pair to an exactly
+        # symmetric configuration, so off-axis rays join them; the inexact
+        # solve seeds from the first off-axis ray only
         dirs = [_off_axis_ray(k, j) for j in range(2 if polish else 1)]
         if polish:
-            dirs = [sign * e for e in np.eye(k) for sign in (1.0, -1.0)] + dirs
+            dirs = list(np.eye(k)) + dirs
         for u in dirs:
             p0 = _farthest_feasible_on_ray(sp, l, anchor, u, feas_tol)
             q0 = _farthest_feasible_on_ray(sp, l, anchor, -u, feas_tol)
             starts.append((p0, q0))
 
     if not polish:
-        # measure the slice from the seeds, then re-derive the tolerances so
-        # they track the actual gap instead of the level's absolute size
-        seps = []
-        for p0, q0 in starts:
-            p = _pull_to_level(sp, p0, l, feas_tol)
-            q = _pull_to_level(sp, q0, l, feas_tol)
-            if p is not None and q is not None:
-                seps.append(float(np.linalg.norm(p - q)))
-        if seps:
-            d0 = max(seps)
+        # pull the one seed pair once and re-derive the tolerances from it, so
+        # they track the actual gap instead of the level's absolute size; the
+        # main loop's pull continues from the pulled pair to the tighter slack
+        p0, q0 = starts[0]
+        p = _pull_to_level(sp, p0, l, feas_tol)
+        q = _pull_to_level(sp, q0, l, feas_tol)
+        starts = []
+        if p is not None and q is not None:
+            starts.append((p, q))
+            d0 = float(np.linalg.norm(p - q))
             rho2 = max(0.25 * d0 * d0, 1e-300)
             feas_tol = 1e-12 * rho2
             ascent_tol = (forcing * rho2) ** 2 / (1.0 + d0)

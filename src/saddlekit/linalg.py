@@ -5,12 +5,13 @@ orthonormal frames by Householder QR.  Everything here is a pure function
 on small dense arrays (n expected well below a few hundred), safe to call
 concurrently.
 
-Conventions fixed across the toolkit:
+Conventions of :func:`sym_eigen` and :func:`qr_decompose` (not of the
+solvers, which call numpy's ``eigh`` and take its ascending order):
 
-* eigenvalues are always returned in descending order,
-* eigenvectors are sign-normalized so the largest-magnitude component of each
-  column is positive (makes tests deterministic),
-* QR is sign-normalized so the diagonal of R is nonnegative.
+* ``sym_eigen`` returns eigenvalues in descending order, with eigenvectors
+  sign-normalized so the largest-magnitude component of each column is
+  positive (makes tests deterministic),
+* ``qr_decompose`` is sign-normalized so the diagonal of R is nonnegative.
 """
 
 from dataclasses import dataclass

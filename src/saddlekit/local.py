@@ -218,7 +218,7 @@ def estimate_negative_eigenspace(f, triple, m):
         return AffineSubspace(z, Frame(pair))
     perp = complete_frame(Frame(pair)).columns[:, 1:]
     h = f.hessian(z)
-    evals, evecs = np.linalg.eigh(perp.T @ (0.5 * (h + h.T)) @ perp)
+    evals, evecs = np.linalg.eigh(perp.T @ h @ perp)
     if evals[m - 2] >= 0.0:
         raise SliceEmpty("too few negative curvature directions off the pair direction")
     return AffineSubspace(z, Frame(np.hstack([pair, perp @ evecs[:, : m - 1]])))

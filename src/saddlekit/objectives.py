@@ -46,7 +46,10 @@ class ObjectiveFunction:
     """A smooth function R^n -> R with derivatives.
 
     ``grad`` and ``hess`` may be None, in which case central finite
-    differences of ``f`` (resp. of the gradient) are used.
+    differences of ``f`` (resp. of the gradient) are used.  :meth:`hessian`
+    returns the symmetric part ``(H + H^T) / 2`` of an analytic Hessian and
+    the finite-difference Hessian, which is symmetric already, so every
+    caller reads a symmetric matrix.
 
     ``batch``, when given, maps an ``(N, n)`` array to the ``N`` values of
     ``f`` at its rows, and must equal ``f`` row by row up to rounding.
@@ -95,7 +98,7 @@ class ObjectiveFunction:
             h = np.asarray(self.hess(x), dtype=float)
             if not np.all(np.isfinite(h)):
                 raise NonFiniteValue(f"hessian returned non-finite entries at {x}")
-            return h
+            return 0.5 * (h + h.T)
         return fd_hessian(self, x)
 
 

@@ -26,9 +26,8 @@ __all__ = ["outer_min_subspace"]
 
 def hessian_eigenspace(f, x, m):
     """Subspace through x spanned by the Hessian eigenvectors of the m smallest eigenvalues."""
-    h = f.hessian(x)
     # ascending order: the first m columns belong to the m smallest eigenvalues
-    return AffineSubspace(x, Frame(np.linalg.eigh(0.5 * (h + h.T))[1][:, :m]))
+    return AffineSubspace(x, Frame(np.linalg.eigh(f.hessian(x))[1][:, :m]))
 
 
 def default_initial_subspace(f, U, m):

@@ -30,6 +30,7 @@ from .errors import TraceParseError
 __all__ = ["TraceRecord", "SolverTrace"]
 
 _FIELDS = ["iter", "l", "u", "diameter", "kkt_residual", "z", "grad_norm", "ratio"]
+_OPTIONAL = ("u", "ratio")
 _CRITICAL_VALUE_LINE = "# critical_value="
 
 
@@ -50,6 +51,36 @@ class TraceRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "z", np.asarray(self.z, dtype=float))
+
+
+def _values(r):
+    """The record's values by name, in ``_FIELDS`` order, ``z`` as a list of floats."""
+    return {**{name: getattr(r, name) for name in _FIELDS}, "z": [float(c) for c in r.z]}
+
+
+def _record(v):
+    """The record of the values ``v`` (numbers or their text) by name."""
+
+    def num(name):  # only u and ratio may be absent
+        return None if name in _OPTIONAL and v[name] is None else float(v[name])
+
+    return TraceRecord(int(v["iter"]), num("l"), num("u"), num("diameter"),
+                       num("kkt_residual"), np.array([float(c) for c in v["z"]]),
+                       num("grad_norm"), num("ratio"))
+
+
+def _csv_cell(name, v):
+    if v is None:
+        return ""
+    if name == "z":
+        return ";".join(_fmt(c) for c in v)
+    return v if name == "iter" else _fmt(v)
+
+
+def _csv_value(name, cell):
+    if name == "z":
+        return [t for t in cell.split(";") if t != ""]
+    return None if cell == "" and name in _OPTIONAL else cell
 
 
 @dataclass
@@ -101,30 +132,10 @@ class SolverTrace:
                 fh.write(writer.dialect.lineterminator)
             writer.writerow(_FIELDS)
             for r in self.records:
-                writer.writerow([
-                    r.iter,
-                    _fmt(r.l),
-                    "" if r.u is None else _fmt(r.u),
-                    _fmt(r.diameter),
-                    _fmt(r.kkt_residual),
-                    ";".join(_fmt(c) for c in r.z),
-                    _fmt(r.grad_norm),
-                    "" if r.ratio is None else _fmt(r.ratio),
-                ])
+                writer.writerow(_csv_cell(*item) for item in _values(r).items())
 
     def write_json(self, path):
-        payload = []
-        for r in self.records:
-            payload.append({
-                "iter": r.iter,
-                "l": r.l,
-                "u": r.u,
-                "diameter": r.diameter,
-                "kkt_residual": r.kkt_residual,
-                "z": [float(c) for c in r.z],
-                "grad_norm": r.grad_norm,
-                "ratio": r.ratio,
-            })
+        payload = [_values(r) for r in self.records]
         if self.critical_value is not None:
             payload = {"critical_value": self.critical_value, "records": payload}
         with open(path, "w") as fh:
@@ -156,16 +167,7 @@ class SolverTrace:
             for row in reader:
                 if len(row) != len(_FIELDS):
                     raise TraceParseError(f"bad row {row!r}")
-                trace.append(TraceRecord(
-                    iter=int(row[0]),
-                    l=float(row[1]),
-                    u=None if row[2] == "" else float(row[2]),
-                    diameter=float(row[3]),
-                    kkt_residual=float(row[4]),
-                    z=np.array([float(t) for t in row[5].split(";") if t != ""]),
-                    grad_norm=float(row[6]),
-                    ratio=None if row[7] == "" else float(row[7]),
-                ))
+                trace.append(_record({n: _csv_value(n, c) for n, c in zip(_FIELDS, row)}))
         except (OSError, ValueError) as exc:
             raise TraceParseError(str(exc)) from exc
         return trace
@@ -180,16 +182,7 @@ class SolverTrace:
                 trace.critical_value = float(payload["critical_value"])
                 payload = payload["records"]
             for row in payload:
-                trace.append(TraceRecord(
-                    iter=int(row["iter"]),
-                    l=float(row["l"]),
-                    u=None if row["u"] is None else float(row["u"]),
-                    diameter=float(row["diameter"]),
-                    kkt_residual=float(row["kkt_residual"]),
-                    z=np.array([float(c) for c in row["z"]]),
-                    grad_norm=float(row["grad_norm"]),
-                    ratio=None if row["ratio"] is None else float(row["ratio"]),
-                ))
+                trace.append(_record(row))
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise TraceParseError(str(exc)) from exc
         return trace

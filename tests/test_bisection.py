@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ball
+from conftest import axis_subspace, ball
 from saddlekit import bisection, geometry
 from saddlekit.bisection import (
     bisection_solve,
@@ -283,6 +283,31 @@ class TestCertifiedBracket:
         assert lo < hi
         assert hi - lo <= 1e-6
         assert len(trace) == 22
+
+
+class TestModelPair:
+    """The quadratic model's pair on x1^2 - x2^2 - 3 x3^2 at its saddle."""
+
+    f = make_diagonal_quadratic([1.0, -1.0, -3.0])
+
+    def _model_pair(self, f, axes, level):
+        return bisection._model_pair(f, axis_subspace(3, axes), level, ball(3, 2.0))
+
+    def test_concave_frame_below_the_top(self):
+        x, y = self._model_pair(self.f, [1, 2], -1.0)
+        assert np.allclose(np.sort([x[1], y[1]]), [-1.0, 1.0], atol=1e-12)
+        assert x[0] == y[0] == x[2] == y[2] == 0.0
+
+    def test_failing_hessian(self):
+        f = ObjectiveFunction(3, self.f.f, self.f.grad, lambda x: np.full((3, 3), np.nan))
+        assert self._model_pair(f, [1, 2], -1.0) is None
+
+    def test_frame_without_negative_curvature(self):
+        assert self._model_pair(self.f, [0, 1], -1.0) is None
+
+    @pytest.mark.parametrize("level", [0.0, 0.5])
+    def test_level_at_or_above_the_top(self, level):
+        assert self._model_pair(self.f, [1, 2], level) is None
 
 
 class TestDefaultBracket:

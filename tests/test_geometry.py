@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import axis_subspace, ball, span_subspace
+from saddlekit import geometry
 from saddlekit.errors import BadSignature, NonUniqueWarning, SliceEmpty, ZeroGradient
 from saddlekit.geometry import (
     AffineSubspace,
@@ -232,6 +233,23 @@ class TestInnerMaxDiameter:
         lo = 2.0 * np.sqrt(lvl / (coeffs[1] - delta))
         hi = 2.0 * np.sqrt(lvl / (coeffs[1] + delta))
         assert lo - 1e-9 <= t.diameter <= hi + 1e-9
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_cold_solve_seeds_each_axis_once(self, k, monkeypatch):
+        # a ray and its reverse give one seed pair: k axes and two off-axis
+        # rays, each searched in both directions
+        rays = [0]
+        farthest = geometry._farthest_feasible_on_ray
+
+        def counted(*args, **kwargs):
+            rays[0] += 1
+            return farthest(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "_farthest_feasible_on_ray", counted)
+        f = make_diagonal_quadratic([1.0, -1.0, -2.0, -3.0])
+        t = inner_max_diameter(f, axis_subspace(4, range(1, k + 1)), -1.0, ball(4, 2.0))
+        assert t.diameter == pytest.approx(2.0, abs=1e-9)
+        assert rays[0] == 2 * (k + 2)
 
 
 class TestWarmSolveKeepsItsStart:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -440,6 +442,24 @@ class TestLoopStructure:
             _, point, _ = _orthogonal_space_min(f, prev.midpoint, prev.eigen_subspace, region)
             assert state.triple.subspace.frame is prev.eigen_subspace.frame
             npt.assert_array_equal(state.triple.subspace.base, point)
+
+    def test_inexact_seed_pair_is_pulled_once(self):
+        # pulling the seed pair twice cost 1,154 value and 679 gradient
+        # calls on this solve
+        f = failure_3d_problem().objective
+        calls = {"value": 0, "gradient": 0}
+
+        def counted(key, fn):
+            def wrapper(x):
+                calls[key] += 1
+                return fn(x)
+
+            return wrapper
+
+        g = dataclasses.replace(f, f=counted("value", f.f), grad=counted("gradient", f.grad))
+        res = fast_local_solve(g, ball(3, 2.0), 2, -1.0, max_iter=8)
+        assert res.converged
+        assert calls["value"] <= 1100 and calls["gradient"] <= 625
 
     def test_supplied_subspace_must_have_dimension_m(self):
         f = make_diagonal_quadratic([1.0, -1.0, -3.0])

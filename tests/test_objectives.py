@@ -50,6 +50,11 @@ class TestFiniteDifferences:
         h_fd = fd_hessian(ObjectiveFunction(dim=2, f=f.f), x)
         npt.assert_allclose(h_fd, f.hessian(x), atol=1e-4)
 
+    def test_analytic_hessian_is_symmetrized(self):
+        raw = np.array([[1.0, 3.0], [1.0, 2.0]])
+        f = ObjectiveFunction(dim=2, f=lambda x: 0.0, hess=lambda x: raw)
+        npt.assert_array_equal(f.hessian(np.zeros(2)), [[1.0, 2.0], [2.0, 2.0]])
+
 
 class TestFiniteChecks:
     def test_large_finite_gradient_is_returned(self):
