@@ -69,8 +69,8 @@ class RunConfig:
             raise ConfigError(
                 "morse-index", f"must satisfy 1 <= m <= {dim}, got {self.morse_index}"
             )
-        if not np.isfinite(self.radius) or self.radius <= 0.0:
-            raise ConfigError("radius", "must be positive and finite")
+        if not np.isfinite(float(self.radius) * float(self.radius)) or self.radius <= 0.0:
+            raise ConfigError("radius", "must be positive and its square finite")
         if self.center is not None:
             if len(self.center) != dim:
                 raise ConfigError(

@@ -16,6 +16,7 @@ affine subspace S inside a trust region U.  This module provides
 * small exact helpers used by the test corpus.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -98,8 +99,9 @@ class TrustRegion:
     def __post_init__(self):
         center = np.asarray(self.center, dtype=float)
         object.__setattr__(self, "center", center)
-        if not np.isfinite(self.radius) or self.radius <= 0.0:
-            raise ValueError("trust region radius must be positive and finite")
+        # the slice geometry works with radius**2; a float product overflows to inf
+        if not np.isfinite(float(self.radius) * float(self.radius)) or self.radius <= 0.0:
+            raise ValueError("trust region radius must be positive and its square finite")
 
     def contains(self, x, tol=0.0):
         return float(np.linalg.norm(np.asarray(x, float) - self.center)) <= self.radius + tol
@@ -832,10 +834,12 @@ def quadratic_minmax_exact(a, l):
 def brute_force_diameter(f, S, l, U, grid_resolution=64):
     """Dense-grid oracle for the slice diameter (slice dimension <= 3).
 
-    Maps a regular grid on the local ball to ambient points in one product,
-    evaluates them all in one ``f.values`` call, keeps those with f >= l,
-    and finds their widest pair on its convex hull
-    (:mod:`saddlekit.kernels`).  The result is within
+    Evaluates the grid points of the local ball in one ``f.values`` call
+    and keeps those with f >= l.  Of each grid line along the last axis only
+    the first and last feasible points go to the widest-pair scan
+    (:mod:`saddlekit.kernels`): a point strictly between two points of a set
+    is not extreme, and a widest pair lies on extreme points, so the pair is
+    the one the scan finds on every feasible point.  The result is within
     O(diam(U) / grid_resolution) of the true diameter.
     """
     if S.dim > 3:
@@ -847,18 +851,22 @@ def brute_force_diameter(f, S, l, U, grid_resolution=64):
         np.linspace(sp.wc[i] - sp.rloc, sp.wc[i] + sp.rloc, grid_resolution)
         for i in range(S.dim)
     ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
-    inside = np.linalg.norm(pts - sp.wc, axis=1) <= sp.rloc * (1.0 + 1e-12)
-    pts = pts[inside]
+    # |w - wc|^2 summed axis by axis, in the order a row norm sums it
+    sq = functools.reduce(np.add.outer, [(a - c) ** 2 for a, c in zip(axes, sp.wc)])
+    inside = np.flatnonzero(np.sqrt(sq) <= sp.rloc * (1.0 + 1e-12))
+    pts = np.column_stack([a[i] for a, i in zip(axes, np.unravel_index(inside, sq.shape))])
     feas_tol = 1e-12 * (1.0 + abs(l))
-    vals = f.values(sp.base + pts @ sp.v.T)
-    pts = pts[vals >= l - feas_tol]
+    feasible = f.values(sp.base + pts @ sp.v.T) >= l - feas_tol
+    pts, line = pts[feasible], inside[feasible] // grid_resolution
     if pts.shape[0] == 0:
         return _empty_triple(sp)
     if pts.shape[0] == 1:
         x = sp.ambient(pts[0])
         return OptimizingTriple(subspace=S, x=x, y=x.copy(), diameter=0.0)
+    # only each grid line's first and last feasible points can be extreme;
+    # kept in ascending grid order, they keep the scan's lowest-index ties
+    new_line = line[1:] != line[:-1]
+    pts = pts[np.r_[True, new_line] | np.r_[new_line, True]]
     i, j, dist = max_separation_pair(pts)
     x, y = _canonical_pair(sp.ambient(pts[i]), sp.ambient(pts[j]))
     return OptimizingTriple(subspace=S, x=x, y=y, diameter=float(dist))

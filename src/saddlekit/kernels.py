@@ -7,6 +7,12 @@ more than ``k + 1`` points only the hull vertices and Qhull's coplanar
 points are scanned.  1-D sets, tiny sets and sets Qhull rejects as flat get
 the full blocked scan.  Both paths round alike and break ties toward the
 lowest indices, so they return the same ``(i, j, dist)``.
+
+The same argument lets the grid oracle
+(:func:`saddlekit.geometry.brute_force_diameter`) hand over only the first
+and last feasible point of each grid line, in ascending grid order: a point
+strictly between two points of the set is not extreme, and dropping it
+keeps the order, and so the tie-breaking, of the points that remain.
 """
 
 import numpy as np

@@ -128,6 +128,16 @@ class TestBisectionSolve:
         assert lo <= 0.0 <= hi
         assert np.linalg.norm(f.gradient(triple.midpoint)) <= 1e-3
 
+    def test_off_centre_ball_finds_empty_levels(self):
+        # the certificate is refused (the orthogonal-space minimum sits on the
+        # ball boundary); the subspace search still finds levels empty, so the
+        # upper end moves down from 12 toward min_U f = 4, attained at (2, 0)
+        f = make_diagonal_quadratic([1.0, -1.0])
+        U = geometry.TrustRegion(np.array([3.0, 0.0]), 1.0)
+        (lo, hi), _, trace = bisection_solve(f, U, 1, -1.0, 12.0, tol=1e-6, max_iter=40)
+        assert hi < 12.0
+        assert any(r.diameter <= 1e-9 for r in trace)
+
 
 class TestCertifiedBracket:
     """Levels outside the certified bracket are settled without the search."""

@@ -130,6 +130,17 @@ class TestSolveCommand:
         assert code == 1
         assert "config error: problem:" in capsys.readouterr().err
 
+    def test_radius_with_an_overflowing_square_is_a_config_error(self, capsys):
+        code = run_cli(
+            "solve", "--problem", "failure-3d", "--morse-index", "2",
+            "--algorithm", "bisection", "--lower", "-1", "--upper", "1",
+            "--radius", "1e155",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: radius: ")
+        assert "Traceback" not in err
+
     def test_missing_morse_index(self, capsys):
         code = run_cli("solve", "--problem", "quadratic-diag:1,-1")
         assert code == 1

@@ -12,6 +12,7 @@ from saddlekit import geometry
 from saddlekit.errors import BadSignature, NonUniqueWarning, SliceEmpty, ZeroGradient
 from saddlekit.geometry import (
     AffineSubspace,
+    OptimizingTriple,
     TrustRegion,
     _off_axis_ray,
     _pull_to_level,
@@ -24,6 +25,7 @@ from saddlekit.geometry import (
     opposite_gradient_residual,
     quadratic_minmax_exact,
 )
+from saddlekit.kernels import max_separation_pair
 from saddlekit.linalg import Frame
 from saddlekit.objectives import (
     ObjectiveFunction,
@@ -66,6 +68,37 @@ def _oracle_quadratic_slices():
         top = quad4.value(s.from_local(np.linalg.solve(h, -(s.frame.columns.T @ quad4.gradient(s.base)))))
         cases.append((quad4, s, top - depth, ball(4, 1.0), 48))
     return cases
+
+
+def _full_grid_oracle(f, S, l, U, res):
+    """The grid oracle without its end-point filter: a meshgrid of the local
+    ball, a row-norm mask, and every feasible point handed to the pair scan."""
+    sp = _SliceProblem(f, S, U)
+    axes = [np.linspace(sp.wc[i] - sp.rloc, sp.wc[i] + sp.rloc, res) for i in range(S.dim)]
+    pts = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+    pts = pts[np.linalg.norm(pts - sp.wc, axis=1) <= sp.rloc * (1.0 + 1e-12)]
+    feasible = pts[f.values(sp.base + pts @ sp.v.T) >= l - 1e-12 * (1.0 + abs(l))]
+    if feasible.shape[0] == 0:
+        return geometry._empty_triple(sp), pts.shape[0], 0
+    i, j, dist = max_separation_pair(feasible) if feasible.shape[0] > 1 else (0, 0, 0.0)
+    x, y = geometry._canonical_pair(sp.ambient(feasible[i]), sp.ambient(feasible[j]))
+    return OptimizingTriple(S, x, y, float(dist)), pts.shape[0], feasible.shape[0]
+
+
+def _assert_same_triple(t, ref):
+    assert t.x.tobytes() == ref.x.tobytes()
+    assert t.y.tobytes() == ref.y.tobytes()
+    assert float(t.diameter).hex() == float(ref.diameter).hex()
+    assert t.empty == ref.empty
+
+
+def _ring(n):
+    """-(|x|^2 - 0.5)^2: its superlevel sets are shells, not convex."""
+    return ObjectiveFunction(
+        dim=n,
+        f=lambda x: -float(x @ x - 0.5) ** 2,
+        batch=lambda xs: -((np.einsum("ij,ij->i", xs, xs) - 0.5) ** 2),
+    )
 
 
 def golden_section_min(fun, lo, hi, tol=1e-10):
@@ -701,6 +734,77 @@ class TestBruteForce:
         assert batched.y.tobytes() == looped.y.tobytes()
         assert batched.diameter == looped.diameter
 
+    @pytest.mark.parametrize("kind, k", [
+        ("quadratic", 1), ("quadratic", 2), ("quadratic", 3),
+        ("four-lines", 1), ("four-lines", 2), ("ring", 1), ("ring", 2), ("ring", 3),
+    ])
+    @settings(max_examples=8, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.floats(0.0, 1.0), res=st.integers(32, 48))
+    def test_end_point_filter_is_exact(self, kind, k, seed, depth, res):
+        """Handing the scan only the end points of each grid line gives the
+        triple the scan gives on every feasible point, byte for byte: on
+        concave quadratic slices (as in ``test_solver_never_below_grid``),
+        on four-lines slices and on rings, whose lines have gaps."""
+        rng = np.random.default_rng(seed)
+        if kind == "four-lines":
+            # criterion 9's slices, tilted toward z; |z| < 1 on the ball
+            f, region, level = four_lines_function().objective, ball(3, 0.9), -2.0 * depth - 0.05
+            tilt = rng.uniform(0.0, 0.6)
+            cols = [[1.0, 0.0, 0.0], [0.0, np.cos(tilt), np.sin(tilt)]][:k]
+            s = span_subspace([0.0, 0.0, rng.uniform(-0.05, 0.05)], *cols)
+        elif kind == "ring":
+            f, region, level = _ring(3), ball(3, 1.0), -0.2 * depth - 1e-3
+            q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            s = AffineSubspace(q[:, 0] * rng.uniform(-0.3, 0.3), Frame(q[:, 3 - k:]))
+        else:
+            f, region = make_diagonal_quadratic([1.0, -1.0, -2.0, -3.0]), ball(4, 1.0)
+            skew = rng.standard_normal((4, 4))
+            skew = 0.015 * (skew - skew.T) / np.linalg.norm(skew - skew.T, 2)
+            tilt = np.linalg.solve(np.eye(4) - skew, np.eye(4) + skew)  # Cayley: a rotation
+            s = AffineSubspace(tilt[:, 0] * rng.uniform(-0.05, 0.05), Frame(tilt[:, 4 - k:]))
+            h = s.frame.columns.T @ f.hessian(s.base) @ s.frame.columns
+            g = s.frame.columns.T @ f.gradient(s.base)
+            level = f.value(s.from_local(np.linalg.solve(h, -g))) - depth
+        ref, _, _ = _full_grid_oracle(f, s, level, region, res)
+        _assert_same_triple(brute_force_diameter(f, s, level, region, res), ref)
+
+    @pytest.mark.parametrize("case", ["one point", "one line", "one per line", "whole ball"])
+    def test_end_point_filter_is_exact_on_degenerate_sets(self, case):
+        s, region, res = axis_subspace(2, [0, 1]), ball(2, 2.0), 33  # grid step 0.125
+        # zero exactly at grid points, negative elsewhere; grid lines run along x2
+        if case == "one point":  # -|x - (0.5, -0.25)|^2
+            f, level = make_quadratic(-2.0 * np.eye(2), [1.0, -0.5], -0.3125), 0.0
+        elif case == "one line":  # -(x1 + 0.25)^2
+            f, level = make_quadratic(np.diag([-2.0, 0.0]), [-0.5, 0.0], -0.0625), 0.0
+        elif case == "one per line":  # -(x2 + 0.25)^2
+            f, level = make_quadratic(np.diag([0.0, -2.0]), [0.0, -0.5], -0.0625), 0.0
+        else:  # a level below min_U f
+            f, level = make_diagonal_quadratic([1.0, -1.0]), -100.0
+        ref, inside, feasible = _full_grid_oracle(f, s, level, region, res)
+        assert feasible == {"one point": 1, "whole ball": inside}.get(case, 31)
+        t = brute_force_diameter(f, s, level, region, res)
+        _assert_same_triple(t, ref)
+        assert (t.diameter == 0.0) == (case == "one point")
+
+    def test_scan_gets_two_end_points_per_grid_line(self, monkeypatch):
+        f, s, level, region, res = _oracle_quadratic_slices()[-1]  # 3-D, 0.8 below its top
+        assert s.dim == 3 and res == 48
+        _, inside, feasible = _full_grid_oracle(f, s, level, region, res)
+        rows, scanned = [], []
+
+        def batch(xs):
+            rows.append(xs.shape[0])
+            return f.batch(xs)
+
+        def scan(points):
+            scanned.append(len(points))
+            return max_separation_pair(points)
+
+        monkeypatch.setattr(geometry, "max_separation_pair", scan)
+        brute_force_diameter(dataclasses.replace(f, batch=batch), s, level, region, res)
+        assert rows == [inside]
+        assert len(scanned) == 1 and scanned[0] <= 2 * res**2 < feasible
+
     @settings(max_examples=12, derandomize=True, database=None, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), angle=st.floats(0.0, 0.03), offset=st.floats(0.05, 0.9))
     def test_solver_never_below_grid(self, seed, angle, offset):
@@ -732,6 +836,9 @@ class TestContainers:
             TrustRegion(np.zeros(2), 0.0)
         with pytest.raises(ValueError):
             TrustRegion(np.zeros(2), float("inf"))
+        with pytest.raises(ValueError):
+            TrustRegion(np.zeros(2), 1e155)  # radius**2 overflows
+        assert TrustRegion(np.zeros(2), 1e154).radius == 1e154
 
     def test_subspace_roundtrip(self, rng):
         s = span_subspace([1.0, 2.0, 3.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
